@@ -2,7 +2,7 @@
 
 Requests run one at a time (a closed loop with one client). Untraced passes
 start `python -m centdim.cli`; traced passes start cli_entry.py, which
-installs the same boundary wrappers as the in-process workloads inside the
+installs the same boundary wrappers as the tower-walk worker inside the
 child and writes its counters to a file. Outputs are checked after the pass,
 against the character oracle and the Bell-number algebra dimension, which
 share no code with the block formulas.
@@ -25,7 +25,7 @@ import workloads
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 
-def run_pass(reqs, env, cwd, cap, trace_dir=None):
+def run_pass(reqs, env, cwd, trace_dir=None):
     """Run every request once. Returns the pass record and the raw outputs."""
     latencies, errors, outputs, traced = [], [], [], []
     stdout_bytes = 0
@@ -39,10 +39,10 @@ def run_pass(reqs, env, cwd, cap, trace_dir=None):
             child_env = dict(env, PERFBENCH_TRACE_FILE=trace_file)
         t0 = time.perf_counter()
         try:
-            proc = subprocess.run(cmd, env=child_env, cwd=cwd, capture_output=True, text=True, timeout=cap)
+            proc = subprocess.run(cmd, env=child_env, cwd=cwd, capture_output=True, text=True, timeout=workloads.CAP_S)
         except subprocess.TimeoutExpired:
             latencies.append(time.perf_counter() - t0)
-            errors.append([i, f"{kind}: hit the {cap} s per-request cap"])
+            errors.append([i, f"{kind}: hit the {workloads.CAP_S} s per-request cap"])
             outputs.append(None)
             continue
         latencies.append(time.perf_counter() - t0)

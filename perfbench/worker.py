@@ -1,6 +1,6 @@
-"""One pass of an in-process workload, in a fresh interpreter.
+"""One pass of the tower-walk workload, in a fresh interpreter.
 
-    python3 perfbench/worker.py --workload decompose-sweep --seed 1 [--trace] [--cap 30] [--limit N]
+    python3 perfbench/worker.py --seed 1 [--trace] [--limit N]
 
 run.py starts one worker per pass with PYTHONPATH pointing at the checkout's
 src/, so every pass starts with cold functools caches and the caches warm
@@ -28,6 +28,7 @@ from centdim import bijection, bratteli, dims  # noqa: E402
 
 import tracing  # noqa: E402
 import workloads  # noqa: E402
+from workloads import CAP_S  # noqa: E402
 
 
 class RequestCap(Exception):
@@ -63,84 +64,92 @@ def _export_problem(diagram, fmt, text):
     return None
 
 
-def run_pass(workload, seed, trace, cap, limit=None):
-    reqs = workloads.requests(workload, seed)[:limit]
+def _check(req, out):
+    """Problems found in one request's output, and for a build the tower
+    contexts, square sums and last row to check against dims after the pass."""
+    if req[0] == "build":
+        _, group, module, n, _, fmt = req
+        diagram, text = out
+        problem = _export_problem(diagram, fmt, text)
+        ctxs = [dims.GroupModuleContext(group, n, module, lv) for lv in diagram.levels()]
+        last = {lab: c for lab, c in diagram.rows[-1] if c}
+        return [problem] if problem else [], (ctxs, _square_sums(diagram), last)
+    _, n, level, lam, expected = req
+    diagram, paths, back = out
+    problems = []
+    if not len(paths) == diagram.vertex_count(level, lam) == expected:
+        problems.append(f"walk to {lam}: {len(paths)} paths, subscript "
+                        f"{diagram.vertex_count(level, lam)}, expected {expected}")
+    if back != paths:
+        problems.append(f"walk to {lam}: round trip changed a path")
+    return problems, None
+
+
+def run_pass(seed, trace, limit=None):
+    reqs = workloads.requests("tower-walk", seed)[:limit]
     tracer = None
-    decompose, build, export = dims.decompose, bratteli.build_diagram, bratteli.export
+    build, export = bratteli.build_diagram, bratteli.export
     enumerate_paths = bratteli.enumerate_paths
     to_pair, to_path = bijection.path_to_pair, bijection.pair_to_path
     if trace:
         tracer = tracing.Tracer()
         tracer.install()
-        decompose = tracer.wrap(decompose, "dims.decompose")
         build = tracer.wrap(build, "bratteli.build_diagram")
         export = tracer.wrap(export, "bratteli.export")
         enumerate_paths = tracer.wrap(enumerate_paths, "bratteli.enumerate_paths")
         to_pair = tracer.wrap(to_pair, "bijection.path_to_pair")
         to_path = tracer.wrap(to_path, "bijection.pair_to_path")
 
+    def serve(req):
+        if req[0] == "build":
+            _, group, module, n, top, fmt = req
+            diagram = build(group, n, module, Fraction(top))
+            return diagram, export(diagram, fmt)
+        _, n, level, lam, _ = req
+        diagram = build("S", n, "perm", Fraction(level))
+        paths = enumerate_paths(diagram, level, lam)
+        return diagram, paths, [to_path(*to_pair(p, n), n) for p in paths]
+
     latencies, errors, wrong, spans = [], [], [], []
-    deferred = []  # (request index, check) pairs run after the pass
+    deferred = []  # (request index, tower contexts, square sums, last row) checked after the pass
     signal.signal(signal.SIGALRM, _alarm)
     for i, req in enumerate(reqs):
         kind = req[0]
-        signal.setitimer(signal.ITIMER_REAL, cap)
+        out = None
         t0 = time.perf_counter()
         try:
-            if kind == "decompose":
-                _, group, module, n, level = req
-                ctx = dims.GroupModuleContext(group, n, module, Fraction(level))
-                out = decompose(ctx)
-            elif kind == "build":
-                _, group, module, n, top, fmt = req
-                out = build(group, n, module, Fraction(top))
-                text = export(out, fmt)
-            else:
-                _, n, level, lam, expected = req
-                diagram = build("S", n, "perm", Fraction(level))
-                paths = enumerate_paths(diagram, level, lam)
-                back = [to_path(*to_pair(p, n), n) for p in paths]
-            dt = time.perf_counter() - t0
+            signal.setitimer(signal.ITIMER_REAL, CAP_S)
+            try:
+                out = serve(req)
+            finally:
+                # cleared before any check runs; an alarm that fires first
+                # still lands in the RequestCap clause below
+                signal.setitimer(signal.ITIMER_REAL, 0)
         except RequestCap:
-            errors.append([i, f"{kind}: hit the {cap} s per-request cap"])
-            dt = time.perf_counter() - t0
+            errors.append([i, f"{kind}: hit the {CAP_S} s per-request cap"])
         except Exception as exc:  # a crash is a failed request, not a failed run
             errors.append([i, f"{kind}: {type(exc).__name__}: {exc}"])
-            dt = time.perf_counter() - t0
-        else:
-            if kind == "decompose":
-                sq = sum(d * d for _, d in out)
-                deferred.append((i, ("algebra", ctx, [sq])))
-            elif kind == "build":
-                problem = _export_problem(out, fmt, text)
-                if problem:
-                    wrong.append([i, problem])
-                ctxs = [dims.GroupModuleContext(group, n, module, lv) for lv in out.levels()]
-                deferred.append((i, ("algebra", ctxs, _square_sums(out))))
-                last = {lab: c for lab, c in out.rows[-1] if c}
-                deferred.append((i, ("last_row", ctxs[-1], last)))
-            else:
-                if not len(paths) == diagram.vertex_count(level, lam) == expected:
-                    wrong.append([i, f"walk to {lam}: {len(paths)} paths, subscript "
-                                     f"{diagram.vertex_count(level, lam)}, expected {expected}"])
-                if back != paths:
-                    wrong.append([i, f"walk to {lam}: round trip changed a path"])
-                del diagram, paths, back  # so peak RSS is one walk's, not two
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
+        dt = time.perf_counter() - t0
+        if out is not None:
+            try:
+                problems, later = _check(req, out)
+            except Exception as exc:  # unreadable output is a wrong output
+                problems, later = [f"check raised {type(exc).__name__}: {exc}"], None
+            wrong += [[i, problem] for problem in problems]
+            if later:
+                deferred.append((i, *later))
+        out = None  # so peak RSS is one request's, not two
         latencies.append(dt)
         if tracer:
             spans.append({"request": i, "kind": kind, "s": dt, **tracer.take()})
     rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
-    for i, (check, ctx, want) in deferred:
+    for i, ctxs, squares, last in deferred:
         try:
-            if check == "algebra":
-                ctxs = ctx if isinstance(ctx, list) else [ctx]
-                got = [dims.dim_z_algebra(c) for c in ctxs]
-                if got != want:
-                    wrong.append([i, f"square sum {want} != algebra dimension {got}"])
-            elif dict(dims.decompose(ctx)) != want:
+            got = [dims.dim_z_algebra(c) for c in ctxs]
+            if got != squares:
+                wrong.append([i, f"square sum {squares} != algebra dimension {got}"])
+            if dict(dims.decompose(ctxs[-1])) != last:
                 wrong.append([i, "last tower row differs from decompose"])
         except Exception as exc:
             wrong.append([i, f"check raised {type(exc).__name__}: {exc}"])
@@ -158,13 +167,11 @@ def run_pass(workload, seed, trace, cap, limit=None):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True, choices=("decompose-sweep", "tower-walk"))
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--trace", action="store_true")
-    parser.add_argument("--cap", type=float, default=30.0)
     parser.add_argument("--limit", type=int, help="run only the first N requests")
     args = parser.parse_args(argv)
-    result = run_pass(args.workload, args.seed, args.trace, args.cap, args.limit)
+    result = run_pass(args.seed, args.trace, args.limit)
     sys.stdout.write(json.dumps(result) + "\n")
     return 0
 

@@ -1,4 +1,4 @@
-"""Seeded request lists for the three benchmark workloads.
+"""Seeded request lists for the two benchmark workloads.
 
 Everything here is plain stdlib code that shares nothing with centdim: the
 requests are generated, and their path counts predicted, without calling the
@@ -15,7 +15,8 @@ import json
 import random
 from fractions import Fraction
 
-WORKLOADS = ("decompose-sweep", "tower-walk", "cli-cold")
+WORKLOADS = ("tower-walk", "cli-cold")
+CAP_S = 30.0  # per request; a runaway request is recorded as failed
 
 # (group, module, half level) for all eight dimension families.
 FAMILIES = [(g, m, h) for g in "SA" for m in ("perm", "refl") for h in (False, True)]
@@ -110,45 +111,6 @@ def random_label(rng, group, m):
 
 
 # --- workloads ----------------------------------------------------------------
-
-
-def decompose_sweep(seed):
-    """Requests ("decompose", group, module, n, level).
-
-    All eight families over n = 8..24 at levels 0..n, each cell's level drawn
-    inside one of four bands that rotate with n (two levels wide for the
-    reflection families), plus a stable-range slice
-    (level <= 4, n = 20..26) where almost every label is zero. The reflection
-    families take every fourth n, each from its own offset: their cost grows
-    with the level, and at n >= 20 one cell costs up to a second. The family
-    of each stable cell is fixed, because the first cell to reach n = 25 or
-    26 pays for filling the caches, and a reflection cell pays several times
-    more than a permutation cell.
-    """
-    rng = random.Random(seed)
-    reqs = []
-    for fi, (group, module, half) in enumerate(FAMILIES):
-        if module == "perm":
-            sizes = range(8, 25)
-        else:
-            sizes = range(8 + 2 * (fi // 4) + fi % 2, 25, 4)
-        for n in sizes:
-            band = (n + n // 4 + fi) % 4
-            lo, hi = band * (n + 1) // 4, (band + 1) * (n + 1) // 4 - 1
-            if module == "refl":  # cost grows with the level: keep the band narrow
-                hi = lo + 1
-            k = rng.randint(lo, max(lo, hi))
-            reqs.append(("decompose", group, module, n, level_text(k, half)))
-    for n in range(20, 27):
-        for shift, half in ((0, False), (1, True), (2, False)):
-            group, module = GROUP_MODULES[(n + shift) % 4]
-            k = rng.randint(3, 4) if module == "refl" else rng.randint(0, 4)
-            reqs.append(("decompose", group, module, n, level_text(k, half)))
-    # Tabulation order: n ascending, families in a fixed order within one n.
-    # The first cell of each n pays for filling the caches for that n, so
-    # a seeded order would move that cost between cheap and costly cells.
-    reqs.sort(key=lambda req: req[3])
-    return reqs
 
 
 # Walk vertices are drawn among those with a path count in this band, so one
@@ -314,8 +276,6 @@ def _json(doc):
 
 
 def requests(workload, seed):
-    if workload == "decompose-sweep":
-        return decompose_sweep(seed)
     if workload == "tower-walk":
         return tower_walk(seed)
     if workload == "cli-cold":
