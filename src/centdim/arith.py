@@ -18,18 +18,47 @@ def binomial(n, k):
     return comb(n, k)
 
 
+# Grid spacing of the entries stirling2 warms. A call below a warmed grid
+# point descends at most 2 * _WARM_STEP rows; at two interpreter frames per
+# row that is 400 frames, inside the default recursion limit of 1000.
+_WARM_STEP = 100
+# True while an outermost stirling2 call runs, so the calls nested in it
+# recurse plainly. It only orders how the cache fills, never a value.
+_warming = False
+
+
 @cache
 def stirling2(k, t):
     """Stirling number of the second kind: partitions of a k-set into t blocks.
 
     Uses the recurrence S2(k, t) = t*S2(k-1, t) + S2(k-1, t-1) with
     S2(0, 0) = 1. Total: returns 0 whenever t < 0 or t > k.
+
+    The recursion has no depth limit. When an outermost call runs out of
+    stack, it warms the cache from the bottom up at the grid points
+    S2(k - a, t - b), with a and b multiples of _WARM_STEP and b <= a, and
+    tries again; from there no call descends more than 2 * _WARM_STEP rows
+    before it meets a cached entry. The plain recursion computes every grid
+    point too, so the cache ends up holding the same entries either way.
     """
+    global _warming
     if t < 0 or t > k:
         return 0
     if k == 0:
         return 1
-    return t * stirling2(k - 1, t) + stirling2(k - 1, t - 1)
+    if k <= _WARM_STEP or _warming:
+        return t * stirling2(k - 1, t) + stirling2(k - 1, t - 1)
+    _warming = True
+    try:
+        return t * stirling2(k - 1, t) + stirling2(k - 1, t - 1)
+    except RecursionError:
+        for j in range(k % _WARM_STEP or _WARM_STEP, k, _WARM_STEP):
+            for col in range(t, max(-1, t - (k - j) - 1), -_WARM_STEP):
+                if col <= j:
+                    stirling2(j, col)
+        return t * stirling2(k - 1, t) + stirling2(k - 1, t - 1)
+    finally:
+        _warming = False
 
 
 def bell(k):

@@ -14,6 +14,11 @@ the full step. Reversing from (P, T) removes the entries k down to 1,
 reinserting 0 for a singleton block and the second-largest member
 otherwise.
 
+Each direction validates its input once (check_path's rules for a walk,
+the pair checks for a pair) and then replays on one mutable tableau,
+finding blocks by their current maximum, so a walk of length 2k costs
+O(k) row operations after that single validating pass.
+
 Tableaux are tuples of tuples of ints; set partitions are tuples of tuples,
 blocks ordered by minimum ("1,3|2" in text form).
 """
@@ -24,7 +29,7 @@ from .young import is_partition
 
 
 def tableau_shape(rows):
-    return tuple(len(r) for r in rows)
+    return tuple(map(len, rows))
 
 
 def is_semistandard(rows):
@@ -43,6 +48,19 @@ def is_semistandard(rows):
     return True
 
 
+def _insert(work, value):
+    """Row-insert value into a list-of-lists tableau in place; returns the
+    0-based (row, col) of the cell it adds."""
+    for level, row in enumerate(work):
+        j = bisect_right(row, value)
+        if j == len(row):
+            row.append(value)
+            return level, j
+        row[j], value = value, row[j]
+    work.append([value])
+    return len(work) - 1, 0
+
+
 def row_insert(rows, value):
     """Insert a value by row bumping; returns (new tableau, (row, col)).
 
@@ -51,21 +69,25 @@ def row_insert(rows, value):
     appends. 1-based cell coordinates.
     """
     work = [list(r) for r in rows]
-    level = 0
-    while True:
-        if level == len(work):
-            work.append([value])
-            box = (level + 1, 1)
-            break
-        row = work[level]
-        j = bisect_right(row, value)
-        if j == len(row):
-            row.append(value)
-            box = (level + 1, j + 1)
-            break
+    row, col = _insert(work, value)
+    return tuple(tuple(r) for r in work), (row + 1, col + 1)
+
+
+def _uninsert(work, r):
+    """Reverse-bump the last cell of row r (1-based) out of a list-of-lists
+    tableau in place; returns the value ejected from row one."""
+    value = work[r - 1].pop()
+    if not work[r - 1]:
+        work.pop()
+    for i in range(r - 2, -1, -1):
+        row = work[i]
+        j = bisect_left(row, value) - 1
+        if j < 0:
+            raise ValueError(
+                f"reverse bump fell off row {i + 1}: the tableau is not semistandard"
+            )
         row[j], value = value, row[j]
-        level += 1
-    return tuple(tuple(r) for r in work), box
+    return value
 
 
 def row_uninsert(rows, corner):
@@ -82,14 +104,7 @@ def row_uninsert(rows, corner):
     ):
         raise ValueError(f"({r},{c}) is not a removable corner of {tableau_shape(rows)}")
     work = [list(x) for x in rows]
-    value = work[r - 1].pop()
-    if not work[r - 1]:
-        work.pop()
-    for i in range(r - 2, -1, -1):
-        row = work[i]
-        j = bisect_left(row, value) - 1
-        assert j >= 0, "reverse bump fell off the row"
-        row[j], value = value, row[j]
+    value = _uninsert(work, r)
     return tuple(tuple(x) for x in work), value
 
 
@@ -97,21 +112,21 @@ def _one_box_difference(bigger, smaller):
     """The 1-based (row, col) of the single cell in bigger but not smaller,
     or None when the shapes do not differ by exactly one cell."""
     big = tuple(bigger)
-    small = tuple(smaller) + (0,) * (len(bigger) - len(smaller))
-    if len(small) > len(big) or sum(big) - sum(tuple(smaller)) != 1:
+    small = tuple(smaller)
+    if len(small) > len(big):
         return None
-    spot = None
+    small += (0,) * (len(big) - len(small))
     for i, (a, b) in enumerate(zip(big, small)):
-        if a == b:
-            continue
-        if a != b + 1 or spot is not None:
-            return None
-        spot = (i + 1, a)
-    return spot
+        if a != b:
+            if a != b + 1 or big[i + 1 :] != small[i + 1 :]:
+                return None
+            return (i + 1, a)
+    return None
 
 
 def check_path(path, n):
-    """Validate a vacillating walk; returns the tuple-of-tuples form."""
+    """Validate a vacillating walk; returns its shapes as tuples of tuples
+    and, for each step, the 1-based cell it removes or adds."""
     shapes = tuple(tuple(p) for p in path)
     if len(shapes) % 2 == 0 or not shapes:
         raise ValueError("malformed path: need shapes at levels 0, 1/2, ..., k")
@@ -120,43 +135,50 @@ def check_path(path, n):
             raise ValueError(f"malformed path: bad shape {s}")
     if shapes[0] != (n,):
         raise ValueError(f"malformed path: must start at ({n},)")
+    cells = []
     for i in range(1, len(shapes)):
         removing = i % 2 == 1
         down, up = (shapes[i - 1], shapes[i]) if removing else (shapes[i], shapes[i - 1])
-        if _one_box_difference(down, up) is None:
+        cell = _one_box_difference(down, up)
+        if cell is None:
             verb = "remove" if removing else "add"
             raise ValueError(
                 f"malformed path: step {i} must {verb} one cell "
                 f"({shapes[i - 1]} -> {shapes[i]})"
             )
-    return shapes
+        cells.append(cell)
+    return shapes, cells
 
 
 def path_to_pair(path, n):
-    """Replay a walk into its (set partition, zeroed tableau) pair."""
-    shapes = check_path(path, n)
-    k = (len(shapes) - 1) // 2
-    tableau = ((0,) * n,)
+    """Replay a walk into its (set partition, zeroed tableau) pair.
+
+    The walk is validated once; the replay reuses the cells validation
+    found and edits one mutable tableau in place.
+    """
+    _, cells = check_path(path, n)
+    work = [[0] * n]
     blocks = []
-    for i in range(1, k + 1):
-        prev, mid, nxt = shapes[2 * i - 2], shapes[2 * i - 1], shapes[2 * i]
-        corner = _one_box_difference(prev, mid)
-        tableau, ejected = row_uninsert(tableau, corner)
+    by_max = {}  # each open block, keyed by its current maximum
+    for i in range(1, len(cells) // 2 + 1):
+        ejected = _uninsert(work, cells[2 * i - 2][0])
         if ejected == 0:
-            blocks.append([i])
+            home = [i]
+            blocks.append(home)
         else:
-            home = next((b for b in blocks if b[-1] == ejected), None)
-            assert home is not None, f"ejected value {ejected} is not a block maximum"
+            home = by_max.pop(ejected, None)
+            if home is None:
+                raise RuntimeError(f"ejected value {ejected} is not a block maximum")
             home.append(i)
-        row, col = _one_box_difference(nxt, mid)
-        work = [list(r) for r in tableau]
+        by_max[i] = home
+        row, col = cells[2 * i - 1]
         if row == len(work) + 1:
             work.append([i])
         else:
             work[row - 1].append(i)
-        assert len(work[row - 1]) == col
-        tableau = tuple(tuple(r) for r in work)
-    return tuple(tuple(b) for b in blocks), tableau
+        if len(work[row - 1]) != col:
+            raise RuntimeError(f"entry {i} missed the cell ({row},{col}) its step adds")
+    return tuple(tuple(b) for b in blocks), tuple(tuple(r) for r in work)
 
 
 def _check_pair(blocks, tableau, n):
@@ -185,35 +207,30 @@ def _check_pair(blocks, tableau, n):
 def pair_to_path(blocks, tableau, n):
     """Rebuild the walk from a (set partition, zeroed tableau) pair."""
     blocks, rows, k = _check_pair(blocks, tableau, n)
-    working = [list(b) for b in blocks]
+    work = [list(r) for r in rows]
+    by_max = {b[-1]: list(b) for b in blocks}
     shapes = [tableau_shape(rows)]
     for i in range(k, 0, -1):
-        spot = next(
-            (
-                (ri + 1, ci + 1)
-                for ri, row in enumerate(rows)
-                for ci, x in enumerate(row)
-                if x == i
-            ),
-            None,
-        )
-        assert spot is not None, f"entry {i} missing despite validation"
-        work = [list(r) for r in rows]
-        work[spot[0] - 1].pop()
-        if not work[spot[0] - 1]:
+        # i is the largest entry left and entries are distinct, so it ends
+        # its row: only the row ends need looking at
+        row = next((r for r in work if r[-1] == i), None)
+        if row is None:
+            raise RuntimeError(f"entry {i} missing despite validation")
+        row.pop()
+        if not row:
             work.pop()
-        rows = tuple(tuple(r) for r in work)
-        shapes.append(tableau_shape(rows))
-        home = next(b for b in working if b[-1] == i)
+        shapes.append(tableau_shape(work))
+        home = by_max.pop(i)
         if len(home) == 1:
-            working.remove(home)
             reinsert = 0
         else:
-            reinsert = home[-2]
             home.pop()
-        rows, _ = row_insert(rows, reinsert)
-        shapes.append(tableau_shape(rows))
-    assert shapes[-1] == (n,) and all(x == 0 for r in rows for x in r)
+            reinsert = home[-1]
+            by_max[reinsert] = home
+        _insert(work, reinsert)
+        shapes.append(tableau_shape(work))
+    if shapes[-1] != (n,) or any(x for r in work for x in r):
+        raise RuntimeError("reverse replay did not end at the one-row zero tableau")
     return tuple(reversed(shapes))
 
 

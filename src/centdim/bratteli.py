@@ -11,6 +11,11 @@ Reflection-module (quasi) subscripts use the same vertex and edge structure
 but a corrected rule on integer rows: Pascal sum minus the same label's
 count two rows up (0 when absent). Those subscripts are not path counts,
 and vertices whose count reaches 0 are kept in the diagram.
+
+Building costs one branching call per vertex: each label of a row is
+restricted once (half step) or induced once (integer step), and the
+neighbor lists and counts of the row below are collected from those
+calls in one sweep.
 """
 
 import json
@@ -100,7 +105,8 @@ def build_diagram(group, n, module, max_level):
     Requires n >= 2 for 'S' and n >= 4 for 'A' (smaller alternating towers
     degenerate; their dimensions are still available through dims). Counts
     follow the Pascal rule, with the quasi correction on integer rows for
-    the reflection module.
+    the reflection module. Each vertex is restricted or induced once, when
+    the row below it is built.
     """
     if group not in ("S", "A"):
         raise ValueError(f"group must be 'S' or 'A', got {group!r}")
@@ -119,44 +125,32 @@ def build_diagram(group, n, module, max_level):
     edges = [[]]
 
     for idx in range(1, int(2 * max_level) + 1):
-        above = rows[idx - 1]
-        above_counts = dict(above)
+        above_counts = dict(rows[idx - 1])
         half_row = idx % 2 == 1
-        if half_row:
-            vertices = []
-            for lab, _ in above:
-                for child in _restriction(group, lab):
-                    if child not in vertices:
-                        vertices.append(child)
-        else:
-            vertices = []
-            for lab, _ in above:
-                for parent in _inductions(group, lab, n):
-                    if parent not in vertices:
-                        vertices.append(parent)
-        vertices.sort(key=_sort_key)
+        # Each label above is branched once. Rows are kept in sort-key
+        # order, so every vertex collects its neighbors in row order, which
+        # on an integer row is also the order its restriction lists them in.
+        neighbors = {}
+        for lab in above_counts:
+            if half_row:
+                below = _restriction(group, lab)
+            else:
+                below = _inductions(group, lab, n)
+            for vert in below:
+                neighbors.setdefault(vert, []).append(lab)
+        two_up = dict(rows[idx - 2]) if module == "refl" and not half_row else {}
 
         row = []
         row_edges = []
-        for vert in vertices:
-            if half_row:
-                neighbors = [
-                    lab for lab, _ in above if vert in _restriction(group, lab)
-                ]
-            else:
-                neighbors = [
-                    lab
-                    for lab in _restriction(group, vert)
-                    if lab in above_counts
-                ]
-            count = sum(above_counts[lab] for lab in neighbors)
-            if module == "refl" and not half_row:
-                count -= dict(rows[idx - 2]).get(vert, 0)
-            assert count >= 0, (
-                f"negative count for {format_label(vert)} at row {idx}"
-            )
+        for vert in sorted(neighbors, key=_sort_key):
+            labs = neighbors[vert]
+            count = sum(above_counts[lab] for lab in labs) - two_up.get(vert, 0)
+            if count < 0:
+                raise RuntimeError(
+                    f"negative count for {format_label(vert)} at row {idx}"
+                )
             row.append((vert, count))
-            row_edges.extend((lab, vert) for lab in neighbors)
+            row_edges.extend((lab, vert) for lab in labs)
         rows.append(row)
         edges.append(row_edges)
 

@@ -12,9 +12,12 @@ from .arith import binomial, odd_double_factorial
 
 
 def is_partition(seq):
-    return all(isinstance(p, int) and p > 0 for p in seq) and all(
-        seq[i] >= seq[i + 1] for i in range(len(seq) - 1)
-    )
+    prev = None
+    for p in seq:
+        if not isinstance(p, int) or p <= 0 or (prev is not None and p > prev):
+            return False
+        prev = p
+    return True
 
 
 def check_partition(seq, what="partition"):

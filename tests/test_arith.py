@@ -29,6 +29,23 @@ def test_stirling2_known_values():
     assert stirling2(6, 6) == 1
 
 
+def test_stirling2_matches_sympy():
+    sympy_numbers = pytest.importorskip("sympy.functions.combinatorial.numbers")
+    for k in range(61):
+        for t in range(-1, k + 2):
+            expected = sympy_numbers.stirling(k, t) if t >= 0 else 0
+            assert stirling2(k, t) == expected, (k, t)
+
+
+def test_stirling2_has_no_depth_limit():
+    # far deeper than the interpreter's recursion limit allows a plain
+    # recursion to go; the recurrence still holds at the top
+    stirling2.cache_clear()
+    assert stirling2(3000, 4) == 4 * stirling2(2999, 4) + stirling2(2999, 3)
+    assert stirling2(3000, 1) == 1
+    assert stirling2(3000, 2999) == 3000 * 2999 // 2
+
+
 def test_stirling2_triangle_recurrence():
     # S2(k+1, t) = t*S2(k, t) + S2(k, t-1)
     for k in range(1, 17):

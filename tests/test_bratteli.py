@@ -52,8 +52,10 @@ def test_counts_are_block_dimensions():
 
 
 def test_edges_follow_branching():
-    for group, n in (("S", 5), ("A", 5)):
-        diagram = build_diagram(group, n, "perm", Fraction(3))
+    for group, n, module in (
+        ("S", 5, "perm"), ("A", 5, "perm"), ("S", 5, "refl"), ("A", 5, "refl"),
+    ):
+        diagram = build_diagram(group, n, module, Fraction(3))
         restriction = restrict_sym if group == "S" else restrict_alt
         for i in range(1, len(diagram.rows)):
             above = [lab for lab, _ in diagram.rows[i - 1]]
@@ -69,7 +71,7 @@ def test_edges_follow_branching():
                     )
                     if joined:
                         expected.add((src, dst))
-            assert set(diagram.edges[i]) == expected, (group, n, i)
+            assert set(diagram.edges[i]) == expected, (group, n, module, i)
 
 
 def test_path_counts_match_subscripts():

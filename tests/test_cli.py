@@ -1,8 +1,15 @@
 import io
 import json
+import os
+import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
+import centdim
 from centdim.cli import main
+from centdim.dims import GroupModuleContext
+from centdim.oracle import multiplicity_oracle
 
 
 def run(capsys, *argv):
@@ -211,3 +218,20 @@ def test_output_is_deterministic(capsys):
     first = run(capsys, *argv)
     second = run(capsys, *argv)
     assert first == second and first[0] == 0
+
+
+def test_deep_level_in_a_fresh_process():
+    # a cold Stirling cache at k = 1500 is deeper than a plain recursion goes
+    argv = ["dim", "--group", "S", "--module", "perm", "--n", "5",
+            "--k", "1500", "--lambda", "3,2"]
+    src = Path(centdim.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "centdim.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    ctx = GroupModuleContext("S", 5, "perm", Fraction(1500))
+    assert proc.stdout == f"{multiplicity_oracle(ctx, (3, 2))}\n"

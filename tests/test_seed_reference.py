@@ -1,0 +1,161 @@
+"""The one-pass tower builder and walk replay against frozen copies of the
+quadratic code they replaced (seed_reference.py): same rows, edges and
+exports, same pairs and walks, same error messages."""
+
+import ast
+import inspect
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+import seed_reference as ref
+from hypothesis import given, strategies as st
+
+import centdim
+from centdim import bijection, bratteli
+from centdim.bratteli import build_diagram, enumerate_paths, export
+
+
+def outcome(fn, *args):
+    """A call's result, or the type and message of the ValueError it raised."""
+    try:
+        return "ok", fn(*args)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+@pytest.mark.parametrize("group", ["S", "A"])
+@pytest.mark.parametrize("module", ["perm", "refl"])
+def test_builder_matches_reference(group, module):
+    for n in range(4, 11):
+        for top in (Fraction(1, 2), Fraction(3), Fraction(9, 2), Fraction(5)):
+            new = build_diagram(group, n, module, top)
+            old = ref.build_diagram(group, n, module, top)
+            assert new.rows == old.rows, (group, module, n, top)
+            assert new.edges == old.edges, (group, module, n, top)
+            for fmt in ("text", "json", "dot"):
+                assert export(new, fmt) == export(old, fmt), (group, module, n, top, fmt)
+
+
+def test_builder_rejects_like_reference():
+    for args in (("S", 1, "perm", 2), ("A", 3, "perm", 2), ("X", 4, "perm", 2),
+                 ("S", 4, "standard", 2), ("S", 4, "perm", Fraction(1, 3)),
+                 ("S", 4, "perm", -1)):
+        got = outcome(build_diagram, *args)
+        assert got[0] == "ValueError"
+        assert got == outcome(ref.build_diagram, *args), args
+
+
+def test_bijection_matches_reference():
+    walks = 0
+    for n in range(2, 8):
+        diagram = build_diagram("S", n, "perm", Fraction(5))
+        for level in range(6):
+            for lab, _ in diagram.row(level):
+                for path in enumerate_paths(diagram, level, lab):
+                    pair = bijection.path_to_pair(path, n)
+                    assert pair == ref.path_to_pair(path, n), path
+                    walk = bijection.pair_to_path(*pair, n)
+                    assert walk == ref.pair_to_path(*pair, n) == path
+                    walks += 1
+    assert walks == 3996
+
+
+MALFORMED_PATHS = [
+    ((), 4),
+    (((4,), (3,)), 4),
+    (((3,),), 4),
+    (((4,), (3, 1), (4,)), 4),
+    (((4,), (2,), (3,)), 4),
+    (((4,), (3,), (1, 3)), 4),
+    (((4,), (3,), (3,)), 4),
+    (((4,), (3,), (5,)), 4),
+    (((4,), (4,), (4,)), 4),
+    (((4,), (3,), (2, 2)), 4),
+    (((4,), (3, 0), (4,)), 4),
+    (((4,), (), (4,)), 4),
+    (((4,), (3,), (3, 1), (2, 1), (3, 1, 1)), 4),
+    (((2, 2), (2, 1), (2, 2)), 4),
+]
+
+MALFORMED_PAIRS = [
+    (((1,), (3,)), ((0, 0, 1, 3),), 4),
+    (((1, 2),), ((0, 0, 0, 1),), 4),
+    (((1, 2),), ((0, 2), (2,)), 3),
+    (((1,),), ((1, 0, 0),), 3),
+    (((), (1,)), ((0, 0, 1),), 3),
+    (((1,),), ((0, 0), (0,)), 3),
+    (((1,),), (), 3),
+    (((1,), (2,), (3,), (4,), (5,)), ((1, 2, 3, 4, 5),), 4),
+    (((1,), (2,), (3,)), ((1, 2), (3,)), 2),
+    (((1, 1),), ((0, 1),), 2),
+]
+
+
+def test_malformed_paths_raise_like_reference():
+    for path, n in MALFORMED_PATHS:
+        got = outcome(bijection.path_to_pair, path, n)
+        assert got[0] == "ValueError", path
+        assert got == outcome(ref.path_to_pair, path, n), path
+
+
+def test_malformed_pairs_raise_like_reference():
+    for blocks, tableau, n in MALFORMED_PAIRS:
+        got = outcome(bijection.pair_to_path, blocks, tableau, n)
+        assert got[0] == "ValueError", (blocks, tableau)
+        assert got == outcome(ref.pair_to_path, blocks, tableau, n), (blocks, tableau)
+
+
+small_shape = st.lists(st.integers(min_value=-1, max_value=4), max_size=4).map(tuple)
+
+
+@given(st.lists(small_shape, max_size=6), st.integers(min_value=1, max_value=4), st.booleans())
+def test_random_paths_match_reference(rest, n, start_right):
+    path = [(n,)] * start_right + rest
+    assert outcome(bijection.path_to_pair, path, n) == outcome(ref.path_to_pair, path, n)
+
+
+@given(small_shape, small_shape)
+def test_one_box_difference_matches_reference(bigger, smaller):
+    assert bijection._one_box_difference(bigger, smaller) == ref._one_box_difference(
+        bigger, smaller
+    )
+
+
+@given(
+    st.lists(st.lists(st.integers(min_value=1, max_value=5), max_size=3), max_size=3),
+    st.lists(st.lists(st.integers(min_value=0, max_value=5), max_size=4), max_size=3),
+    st.integers(min_value=1, max_value=5),
+)
+def test_random_pairs_match_reference(blocks, tableau, n):
+    assert outcome(bijection.pair_to_path, blocks, tableau, n) == outcome(
+        ref.pair_to_path, blocks, tableau, n
+    )
+
+
+def test_rewritten_modules_have_no_assert():
+    for module in (bratteli, bijection):
+        tree = ast.parse(inspect.getsource(module))
+        assert not [node for node in ast.walk(tree) if isinstance(node, ast.Assert)], module
+
+
+def test_uninsert_raises_under_optimize():
+    code = (
+        "from centdim.bijection import row_uninsert\n"
+        "try:\n"
+        "    row_uninsert(((1,), (0,)), (2, 1))\n"
+        "except ValueError:\n"
+        "    print('ValueError')\n"
+    )
+    src = Path(centdim.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ValueError\n", "")
