@@ -51,7 +51,7 @@ from .dims import (
     dim_z_half,
     parse_level,
 )
-from .bratteli import BratteliDiagram, build_diagram, enumerate_paths, export, level_square_sum
+from .bratteli import BratteliDiagram, build_diagram, enumerate_paths, export
 from .bijection import pair_to_path, path_to_pair, row_insert, row_uninsert
 from .oracle import (
     ScaleExceeded,

@@ -165,7 +165,8 @@ def restrict_alt(label):
 def induce_alt(label, n):
     """Induction of an A_{n-1} irreducible to A_n.
 
-    Candidates come from adding a cell to the base or to its conjugate;
+    Candidates come from adding a cell to the base (adding one to its
+    conjugate gives the conjugate shapes, which fold to the same labels);
     a candidate is kept exactly when the given label appears in its
     restriction, which keeps induction adjoint to restrict_alt by
     construction.
@@ -173,11 +174,10 @@ def induce_alt(label, n):
     if label.size != n - 1:
         raise ValueError(f"expected a label of size {n - 1}, got {label}")
     candidates = []
-    for shape in (label.base, conjugate(label.base)):
-        for bigger in induce_sym(shape, n):
-            for cand in restrict_sym_to_alt(bigger):
-                if cand not in candidates:
-                    candidates.append(cand)
+    for bigger in induce_sym(label.base, n):
+        for cand in restrict_sym_to_alt(bigger):
+            if cand not in candidates:
+                candidates.append(cand)
     out = [cand for cand in candidates if label in restrict_alt(cand)]
     out.sort(key=AltLabel.sort_key)
     return out

@@ -157,11 +157,6 @@ def build_diagram(group, n, module, max_level):
     return BratteliDiagram(group, n, module, max_level, rows, edges)
 
 
-def level_square_sum(diagram, level):
-    """Sum of squared subscripts across a row."""
-    return diagram.square_sum(level)
-
-
 def enumerate_paths(diagram, level, label):
     """All root-to-vertex paths, each a tuple of labels row by row.
 

@@ -3,10 +3,12 @@
 The permutation module M of S_n on n letters has centralizer algebras
 End(M^k) whose irreducible blocks are indexed by partitions of n; half
 levels k+1/2 restrict the action to S_{n-1} and are indexed by partitions
-of n-1. Everything here is a finite sum of Stirling numbers against Kostka
-numbers of hook type, together with the binomial transforms that move
-between the permutation module and the reflection module (quasi case) and
-the conjugation-folding that moves from S to A.
+of n-1. One kernel, block_dimension, computes every block: a finite sum of
+Stirling numbers against Kostka numbers of hook type, with the Stirling
+indices shifted by one on half levels. Two transforms give the other cases:
+A_n folds each label with its conjugate, and the reflection module is the
+alternating binomial transform of the permutation module over lower levels.
+The eight dim_* families are that kernel at a fixed (group, module, half).
 
 Levels are fractions.Fraction values with denominator 1 or 2.
 """
@@ -91,82 +93,82 @@ class GroupModuleContext:
         return self.n - 1 if self.half else self.n
 
 
-def dim_z(n, k, lam):
-    """Dimension of the irreducible block of End_{S_n}(M^k) at lam.
+def _shapes(ctx, label):
+    """Check label against ctx and return the S-shapes whose blocks make it up.
 
-    Sum over t of S2(k, t) * K(lam, hook(n, t)); 0 when lam does not occur,
-    including the k = 0 case where only lam = (n) survives.
+    An S label is its own shape. An unsigned A label is the fold of its base
+    with the conjugate (once, when they coincide, as for A_0 and A_1); a
+    signed half of a split label counts its base once.
     """
-    lam = check_partition(lam)
-    if sum(lam) != n:
-        raise ValueError(f"expected a partition of {n}, got {lam}")
+    m = ctx.label_size
+    if ctx.group == "S":
+        lam = check_partition(label) if label else ()
+        if sum(lam) != m:
+            raise ValueError(f"expected a partition of {m}, got {lam}")
+        return (lam,)
+    if label.size != m:
+        raise ValueError(f"expected a label of size {m}, got {label}")
+    base = label.base
+    if label.sign is None:
+        star = conjugate(base)
+        if star != base:
+            return (base, star)
+    return (base,)
+
+
+def _alternating_transform(k, value):
+    """sum_j (-1)^(k-j) C(k, j) * value(j), j ascending.
+
+    Moves permutation-module data to the reflection module: M = trivial + R,
+    so a value for R^k is this transform of the values for M^j.
+    """
     return sum(
-        stirling2(k, t) * kostka_hook_type(lam, n, t) for t in range(n + 1)
+        (-1) ** (k - j) * binomial(k, j) * value(j) for j in range(k + 1)
     )
 
 
-def dim_z_half(n, k, mu):
-    """Dimension of the block at mu for End_{S_{n-1}}(M^k), level k + 1/2."""
-    mu = check_partition(mu) if mu else ()
-    if sum(mu) != n - 1:
-        raise ValueError(f"expected a partition of {n - 1}, got {mu}")
-    return sum(
-        stirling2(k + 1, t + 1) * kostka_hook_type(mu, n - 1, t)
-        for t in range(n)
-    )
+def block_dimension(ctx, label):
+    """Dimension of the block at label of the algebra described by ctx.
+
+    With m = ctx.label_size and s = 1 on half levels (0 otherwise), the
+    permutation module at level j gives sum over shapes and t of
+    S2(j + s, t + s) * K(shape, hook(m, t)); the Stirling factor vanishes
+    for t > j. The reflection module is its alternating transform over j.
+    """
+    shapes = _shapes(ctx, label)
+    m = ctx.label_size
+    s = 1 if ctx.half else 0
+
+    def perm(j):
+        return sum(
+            stirling2(j + s, t + s) * kostka_hook_type(shape, m, t)
+            for shape in shapes
+            for t in range(min(m, j) + 1)
+        )
+
+    if ctx.module == "perm":
+        return perm(ctx.k)
+    return _alternating_transform(ctx.k, perm)
 
 
-def _fold_alt(base_dim, n, k, label):
-    """Fold an S-level dimension function through conjugation for A."""
-    lam = label.base
-    if label.sign is not None:
-        return base_dim(n, k, lam)
-    star = conjugate(lam)
-    if star == lam:
-        # degenerate self-conjugate label (size <= 1): nothing to fold
-        return base_dim(n, k, lam)
-    return base_dim(n, k, lam) + base_dim(n, k, star)
+def _family(group, module, half):
+    """block_dimension as a function of (n, k, label) at level k (+ 1/2)."""
+
+    def dim(n, k, label):
+        level = Fraction(2 * k + half, 2)
+        return block_dimension(GroupModuleContext(group, n, module, level), label)
+
+    return dim
 
 
-def dim_z_alt(n, k, label):
-    """Dimension of the block at an A_n label for End_{A_n}(M^k)."""
-    if label.size != n:
-        raise ValueError(f"expected a label of size {n}, got {label}")
-    return _fold_alt(dim_z, n, k, label)
-
-
-def dim_z_alt_half(n, k, label):
-    """Level k + 1/2 for the alternating group: End_{A_{n-1}}(M^k)."""
-    if label.size != n - 1:
-        raise ValueError(f"expected a label of size {n - 1}, got {label}")
-    return _fold_alt(dim_z_half, n, k, label)
-
-
-def _quasi(base_dim, n, k, lam):
-    """Alternating binomial transform moving perm-module data to the
-    reflection module: M = trivial + R, so dimensions for R^k are
-    sum_l (-1)^(k-l) C(k, l) * (value at M^l)."""
-    return sum(
-        (-1) ** (k - low) * binomial(k, low) * base_dim(n, low, lam)
-        for low in range(k + 1)
-    )
-
-
-def dim_qz(n, k, lam):
-    """Block dimension for End_{S_n}(R^k), R the reflection module."""
-    return _quasi(dim_z, n, k, lam)
-
-
-def dim_qz_half(n, k, mu):
-    return _quasi(dim_z_half, n, k, mu)
-
-
-def dim_qz_alt(n, k, label):
-    return _quasi(dim_z_alt, n, k, label)
-
-
-def dim_qz_alt_half(n, k, label):
-    return _quasi(dim_z_alt_half, n, k, label)
+dim_z = _family("S", "perm", 0)
+dim_z_half = _family("S", "perm", 1)
+dim_z_alt = _family("A", "perm", 0)
+dim_z_alt_half = _family("A", "perm", 1)
+dim_qz = _family("S", "refl", 0)
+dim_qz_half = _family("S", "refl", 1)
+dim_qz_alt = _family("A", "refl", 0)
+dim_qz_alt_half = _family("A", "refl", 1)
 
 
 def _perm_algebra_dim(group, n, tensor_exponent, acting_letters):
@@ -188,28 +190,22 @@ def _perm_algebra_dim(group, n, tensor_exponent, acting_letters):
 
 def dim_z_algebra(ctx):
     """Dimension of the whole centralizer algebra described by ctx."""
-    twice = 2 * ctx.k + (1 if ctx.half else 0)
-    acting = ctx.n - 1 if ctx.half else ctx.n
+    s = 1 if ctx.half else 0
+
+    def perm(j):
+        return _perm_algebra_dim(ctx.group, ctx.n, j + s, ctx.label_size)
+
     if ctx.module == "perm":
-        return _perm_algebra_dim(ctx.group, ctx.n, twice, acting)
-    shift = 1 if ctx.half else 0
-    doubled_k = 2 * ctx.k
+        return perm(2 * ctx.k)
+    return _alternating_transform(2 * ctx.k, perm)
+
+
+def _abacus_sum(k, shift, nu_size):
+    """sum_t C(t, |nu|) * S2(k + shift, t + shift); shift 1 on half levels."""
     return sum(
-        (-1) ** (doubled_k - low)
-        * binomial(doubled_k, low)
-        * _perm_algebra_dim(ctx.group, ctx.n, low + shift, acting)
-        for low in range(doubled_k + 1)
+        binomial(t, nu_size) * stirling2(k + shift, t + shift)
+        for t in range(nu_size, k + 1)
     )
-
-
-def _abacus_sum(k, half, nu_size):
-    """sum_t C(t, |nu|) * S2-coefficient at level k (or k + 1/2)."""
-    if half:
-        return sum(
-            binomial(t, nu_size) * stirling2(k + 1, t + 1)
-            for t in range(nu_size, k + 1)
-        )
-    return sum(binomial(t, nu_size) * stirling2(k, t) for t in range(nu_size, k + 1))
 
 
 def dim_partition_algebra_irr(level, nu):
@@ -225,7 +221,7 @@ def dim_partition_algebra_irr(level, nu):
     k = level_floor(level)
     if sum(nu) > k:
         raise ValueError(f"|{nu}| exceeds the level floor {k}")
-    return num_syt(nu) * _abacus_sum(k, is_half(level), sum(nu))
+    return num_syt(nu) * _abacus_sum(k, 1 if is_half(level) else 0, sum(nu))
 
 
 def dim_qp_irr(k, nu):
@@ -236,10 +232,7 @@ def dim_qp_irr(k, nu):
     nu = check_partition(nu) if nu else ()
     if sum(nu) > k:
         raise ValueError(f"|{nu}| exceeds the level {k}")
-    return num_syt(nu) * sum(
-        (-1) ** (k - low) * binomial(k, low) * _abacus_sum(low, False, sum(nu))
-        for low in range(k + 1)
-    )
+    return num_syt(nu) * _alternating_transform(k, lambda j: _abacus_sum(j, 0, sum(nu)))
 
 
 def dim_model_block(k, r, p):
@@ -254,28 +247,7 @@ def dim_model_block(k, r, p):
         raise ValueError(f"need 0 <= p <= r <= k, got p={p}, r={r}, k={k}")
     if (r - p) % 2:
         raise ValueError(f"r - p must be even, got r={r}, p={p}")
-    matchings = involutions_with_fixed_points(r, p)
-    return matchings * sum(binomial(t, r) * stirling2(k, t) for t in range(r, k + 1))
-
-
-def block_dimension(ctx, label):
-    """Dispatch to the right dimension function for (ctx, label)."""
-    n, k = ctx.n, ctx.k
-    if ctx.group == "S":
-        table = {
-            ("perm", False): dim_z,
-            ("perm", True): dim_z_half,
-            ("refl", False): dim_qz,
-            ("refl", True): dim_qz_half,
-        }
-    else:
-        table = {
-            ("perm", False): dim_z_alt,
-            ("perm", True): dim_z_alt_half,
-            ("refl", False): dim_qz_alt,
-            ("refl", True): dim_qz_alt_half,
-        }
-    return table[(ctx.module, ctx.half)](n, k, label)
+    return involutions_with_fixed_points(r, p) * _abacus_sum(k, 0, r)
 
 
 def labels_for(ctx):

@@ -31,7 +31,8 @@ def _class_size(n, ct):
     z = 1
     for j, m in mult.items():
         z *= factorial(m) * j**m
-    assert factorial(n) % z == 0
+    if factorial(n) % z:
+        raise RuntimeError(f"centralizer order {z} of {ct} does not divide {n}!")
     return factorial(n) // z
 
 
@@ -143,7 +144,8 @@ def multiplicity_oracle(ctx, label):
         )
     mult = total // order
     if ctx.group == "A" and sign is not None:
-        assert mult % 2 == 0, f"split label {label} got odd paired sum {mult}"
+        if mult % 2:
+            raise RuntimeError(f"split label {label} got odd paired sum {mult}")
         mult //= 2
     return mult
 

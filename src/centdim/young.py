@@ -113,7 +113,8 @@ def num_syt(lam):
     for r in range(1, len(lam) + 1):
         for c in range(1, lam[r - 1] + 1):
             denom *= hook_length(lam, r, c)
-    assert factorial(n) % denom == 0
+    if factorial(n) % denom:
+        raise RuntimeError(f"hook product {denom} of {lam} does not divide {n}!")
     return factorial(n) // denom
 
 

@@ -1,26 +1,33 @@
-"""Frozen copies of the first, quadratic tower builder and walk replay.
+"""Frozen copies of code the package has since rewritten.
 
-The package's build_diagram and bijection replay were rewritten to do one
-branching call per vertex and one validating pass per walk. These copies
-keep the earlier code exactly as it was, so the tests can demand
-byte-identical rows, edges, exports, pairs, walks and error messages from
-the rewrite. Only the branching rules and the shape predicates, which the
-rewrite left alone, are imported from the package. Do not edit.
+* The first, quadratic tower builder and walk replay. The package's
+  build_diagram and bijection replay now do one branching call per vertex
+  and one validating pass per walk.
+* induce_alt as it was, inducing both the base and its conjugate.
+* The eight hand-written dim_* families with _fold_alt, _quasi and the
+  block_dimension dispatch table. The package computes them with one kernel.
+
+These copies keep the earlier code exactly as it was, so the tests can
+demand byte-identical rows, edges, exports, pairs, walks, dimensions and
+error messages from the rewrites. Only code that the rewrites left alone
+(the other branching rules, the shape predicates, Stirling and Kostka
+numbers) is imported from the package. Do not edit.
 """
 
 from bisect import bisect_left, bisect_right
 
+from centdim.arith import binomial, stirling2
 from centdim.bijection import is_semistandard, tableau_shape
 from centdim.bratteli import BratteliDiagram, _sort_key, format_label
 from centdim.branch import (
-    induce_alt,
+    AltLabel,
     induce_sym,
     restrict_alt,
     restrict_sym,
     restrict_sym_to_alt,
 )
 from centdim.dims import check_level
-from centdim.young import is_partition
+from centdim.young import check_partition, conjugate, is_partition, kostka_hook_type
 
 
 def _restriction(group, label):
@@ -251,3 +258,108 @@ def pair_to_path(blocks, tableau, n):
         shapes.append(tableau_shape(rows))
     assert shapes[-1] == (n,) and all(x == 0 for r in rows for x in r)
     return tuple(reversed(shapes))
+
+
+def induce_alt(label, n):
+    """Induction of an A_{n-1} irreducible to A_n.
+
+    Candidates come from adding a cell to the base or to its conjugate;
+    a candidate is kept exactly when the given label appears in its
+    restriction, which keeps induction adjoint to restrict_alt by
+    construction.
+    """
+    if label.size != n - 1:
+        raise ValueError(f"expected a label of size {n - 1}, got {label}")
+    candidates = []
+    for shape in (label.base, conjugate(label.base)):
+        for bigger in induce_sym(shape, n):
+            for cand in restrict_sym_to_alt(bigger):
+                if cand not in candidates:
+                    candidates.append(cand)
+    out = [cand for cand in candidates if label in restrict_alt(cand)]
+    out.sort(key=AltLabel.sort_key)
+    return out
+
+
+def dim_z(n, k, lam):
+    lam = check_partition(lam)
+    if sum(lam) != n:
+        raise ValueError(f"expected a partition of {n}, got {lam}")
+    return sum(
+        stirling2(k, t) * kostka_hook_type(lam, n, t) for t in range(n + 1)
+    )
+
+
+def dim_z_half(n, k, mu):
+    mu = check_partition(mu) if mu else ()
+    if sum(mu) != n - 1:
+        raise ValueError(f"expected a partition of {n - 1}, got {mu}")
+    return sum(
+        stirling2(k + 1, t + 1) * kostka_hook_type(mu, n - 1, t)
+        for t in range(n)
+    )
+
+
+def _fold_alt(base_dim, n, k, label):
+    lam = label.base
+    if label.sign is not None:
+        return base_dim(n, k, lam)
+    star = conjugate(lam)
+    if star == lam:
+        # degenerate self-conjugate label (size <= 1): nothing to fold
+        return base_dim(n, k, lam)
+    return base_dim(n, k, lam) + base_dim(n, k, star)
+
+
+def dim_z_alt(n, k, label):
+    if label.size != n:
+        raise ValueError(f"expected a label of size {n}, got {label}")
+    return _fold_alt(dim_z, n, k, label)
+
+
+def dim_z_alt_half(n, k, label):
+    if label.size != n - 1:
+        raise ValueError(f"expected a label of size {n - 1}, got {label}")
+    return _fold_alt(dim_z_half, n, k, label)
+
+
+def _quasi(base_dim, n, k, lam):
+    return sum(
+        (-1) ** (k - low) * binomial(k, low) * base_dim(n, low, lam)
+        for low in range(k + 1)
+    )
+
+
+def dim_qz(n, k, lam):
+    return _quasi(dim_z, n, k, lam)
+
+
+def dim_qz_half(n, k, mu):
+    return _quasi(dim_z_half, n, k, mu)
+
+
+def dim_qz_alt(n, k, label):
+    return _quasi(dim_z_alt, n, k, label)
+
+
+def dim_qz_alt_half(n, k, label):
+    return _quasi(dim_z_alt_half, n, k, label)
+
+
+def block_dimension(ctx, label):
+    n, k = ctx.n, ctx.k
+    if ctx.group == "S":
+        table = {
+            ("perm", False): dim_z,
+            ("perm", True): dim_z_half,
+            ("refl", False): dim_qz,
+            ("refl", True): dim_qz_half,
+        }
+    else:
+        table = {
+            ("perm", False): dim_z_alt,
+            ("perm", True): dim_z_alt_half,
+            ("refl", False): dim_qz_alt,
+            ("refl", True): dim_qz_alt_half,
+        }
+    return table[(ctx.module, ctx.half)](n, k, label)

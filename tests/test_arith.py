@@ -119,9 +119,15 @@ def test_singleton_free_values():
 
 
 def test_singleton_free_pairs_with_bell():
+    # the closed form against direct enumeration, each m enumerated once
+    counted = [
+        sum(1 for p in set_partitions(m) if all(len(b) >= 2 for b in p))
+        for m in range(12)
+    ]
+    assert [singleton_free_bell(m) for m in range(12)] == counted
     # dropping the block of a designated element splits the count
     for m in range(11):
-        assert singleton_free_bell(m) + singleton_free_bell(m + 1) == bell(m)
+        assert counted[m] + counted[m + 1] == bell(m)
 
 
 @given(st.integers(min_value=0, max_value=40), st.integers(min_value=-3, max_value=43))

@@ -11,7 +11,6 @@ from centdim.bratteli import (
     enumerate_paths,
     export,
     format_label,
-    level_square_sum,
 )
 from centdim.branch import restrict_alt, restrict_sym
 from centdim.dims import GroupModuleContext, block_dimension, dim_z_algebra
@@ -48,7 +47,7 @@ def test_counts_are_block_dimensions():
                             level,
                             lab,
                         )
-                    assert level_square_sum(diagram, level) == dim_z_algebra(ctx)
+                    assert diagram.square_sum(level) == dim_z_algebra(ctx)
 
 
 def test_edges_follow_branching():

@@ -235,3 +235,18 @@ def test_deep_level_in_a_fresh_process():
     assert (proc.returncode, proc.stderr) == (0, "")
     ctx = GroupModuleContext("S", 5, "perm", Fraction(1500))
     assert proc.stdout == f"{multiplicity_oracle(ctx, (3, 2))}\n"
+
+
+def test_wide_label_at_a_low_level_in_a_fresh_process():
+    # S2(2, t) vanishes for t > 2, so no Kostka term of depth n is needed
+    argv = ["dim", "--group", "S", "--module", "perm", "--n", "1200",
+            "--k", "2", "--lambda", "1200"]
+    src = Path(centdim.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "centdim.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2\n", "")

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from centdim.arith import bell, binomial, singleton_free_bell, stirling2
+from centdim.arith import bell, bell_restricted, binomial, singleton_free_bell, stirling2
 from centdim.branch import AltLabel, alt_labels, restrict_alt, restrict_sym
 from centdim.dims import (
     GroupModuleContext,
@@ -67,6 +67,13 @@ def test_dim_z_known_values():
     assert dim_z(4, 0, (3, 1)) == 0
     with pytest.raises(ValueError):
         dim_z(4, 3, (3, 3))
+
+
+def test_trivial_block_is_restricted_bell_for_wide_n():
+    # K((n), hook(n, t)) = 1, and only t <= k contributes
+    for n in (300, 1200):
+        for k in range(4):
+            assert dim_z(n, k, (n,)) == bell_restricted(k, n), (n, k)
 
 
 def test_dim_z_half_known_values():

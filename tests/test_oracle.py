@@ -1,9 +1,12 @@
+import ast
+import inspect
 import math
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
+from centdim import oracle
 from centdim.branch import alt_labels
 from centdim.dims import GroupModuleContext, block_dimension, labels_for
 from centdim.oracle import (
@@ -160,3 +163,16 @@ def test_pair_count_caps():
         pair_count_oracle(4, 9, (4,))
     with pytest.raises(ValueError):
         pair_count_oracle(4, 3, (2, 1))
+
+
+def test_oracle_shares_no_code_with_the_formulas():
+    # verify means something only while the oracle stays independent
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(oracle))):
+        if isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.update(alias.name.split("."))
+    assert not imported & {"dims", "bratteli", "verify"}, imported

@@ -1,10 +1,13 @@
-"""The one-pass tower builder and walk replay against frozen copies of the
-quadratic code they replaced (seed_reference.py): same rows, edges and
-exports, same pairs and walks, same error messages."""
+"""Rewritten code against frozen copies of what it replaced
+(seed_reference.py): the one-pass tower builder and walk replay, induce_alt
+and the dimension kernel. Same rows, edges and exports, same pairs and
+walks, same inductions and dimensions, same error messages."""
 
 import ast
+import importlib
 import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,8 +18,11 @@ import seed_reference as ref
 from hypothesis import given, strategies as st
 
 import centdim
-from centdim import bijection, bratteli
+from centdim import bijection, dims
+from centdim.branch import AltLabel, alt_labels, induce_alt
 from centdim.bratteli import build_diagram, enumerate_paths, export
+from centdim.dims import GroupModuleContext, decompose, labels_for
+from centdim.young import partitions_of
 
 
 def outcome(fn, *args):
@@ -136,8 +142,67 @@ def test_random_pairs_match_reference(blocks, tableau, n):
     )
 
 
+def test_induce_alt_matches_reference():
+    for m in range(1, 13):
+        for label in alt_labels(m):
+            assert induce_alt(label, m + 1) == ref.induce_alt(label, m + 1), label
+    for label, n in ((AltLabel((2, 1), "+"), 3), (AltLabel((3,)), 5)):
+        assert outcome(induce_alt, label, n) == outcome(ref.induce_alt, label, n)
+
+
+FAMILIES = [
+    ("dim_z", "S", False),
+    ("dim_z_half", "S", True),
+    ("dim_z_alt", "A", False),
+    ("dim_z_alt_half", "A", True),
+    ("dim_qz", "S", False),
+    ("dim_qz_half", "S", True),
+    ("dim_qz_alt", "A", False),
+    ("dim_qz_alt_half", "A", True),
+]
+
+
+def labels_near(group, m):
+    """Every label of size m, plus the labels one size off on either side."""
+    sizes = range(max(m - 1, 0), m + 2)
+    if group == "S":
+        return [lam for size in sizes for lam in partitions_of(size)]
+    return [lab for size in sizes for lab in alt_labels(size)]
+
+
+@pytest.mark.parametrize("name, group, half", FAMILIES)
+def test_dimension_families_match_reference(name, group, half):
+    new, old = getattr(dims, name), getattr(ref, name)
+    checked = 0
+    for n in range(1, 10):
+        labels = labels_near(group, n - 1 if half else n)
+        if group == "S":
+            labels += [(1, 2), (3, 0), [2, 1]]
+        for k in range(9):
+            for label in labels:
+                got = outcome(new, n, k, label)
+                assert got == outcome(old, n, k, label), (name, n, k, label)
+                checked += got[0] == "ok"
+    assert checked > 0
+
+
+def test_decompose_matches_reference():
+    for group in ("S", "A"):
+        for module in ("perm", "refl"):
+            for n in range(1, 10):
+                for twice in range(17):
+                    ctx = GroupModuleContext(group, n, module, Fraction(twice, 2))
+                    expected = []
+                    for label in labels_for(ctx):
+                        d = ref.block_dimension(ctx, label)
+                        if d:
+                            expected.append((label, d))
+                    assert decompose(ctx) == expected, ctx
+
+
 def test_rewritten_modules_have_no_assert():
-    for module in (bratteli, bijection):
+    for info in pkgutil.iter_modules(centdim.__path__):
+        module = importlib.import_module(f"centdim.{info.name}")
         tree = ast.parse(inspect.getsource(module))
         assert not [node for node in ast.walk(tree) if isinstance(node, ast.Assert)], module
 
