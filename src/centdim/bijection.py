@@ -34,17 +34,20 @@ def tableau_shape(rows):
 
 def is_semistandard(rows):
     """Weakly increasing rows, strictly increasing columns, valid shape."""
-    lengths = [len(r) for r in rows]
-    if any(not row for row in rows):
-        return False
-    if any(lengths[i] < lengths[i + 1] for i in range(len(rows) - 1)):
-        return False
     for row in rows:
-        if any(row[j] > row[j + 1] for j in range(len(row) - 1)):
+        if not row:
             return False
-    for i in range(len(rows) - 1):
-        if any(rows[i][j] >= rows[i + 1][j] for j in range(lengths[i + 1])):
+    for upper, lower in zip(rows, rows[1:]):
+        if len(upper) < len(lower):
             return False
+    for row in rows:
+        for j in range(1, len(row)):
+            if row[j - 1] > row[j]:
+                return False
+    for upper, lower in zip(rows, rows[1:]):
+        for j in range(len(lower)):
+            if upper[j] >= lower[j]:
+                return False
     return True
 
 
@@ -110,15 +113,23 @@ def row_uninsert(rows, corner):
 
 def _one_box_difference(bigger, smaller):
     """The 1-based (row, col) of the single cell in bigger but not smaller,
-    or None when the shapes do not differ by exactly one cell."""
-    big = tuple(bigger)
-    small = tuple(smaller)
-    if len(small) > len(big):
+    or None when the shapes do not differ by exactly one cell. Both are
+    tuples; smaller reads as padded with zeros to the length of bigger."""
+    size = len(smaller)
+    if size > len(bigger):
         return None
-    small += (0,) * (len(big) - len(small))
-    for i, (a, b) in enumerate(zip(big, small)):
+    for i in range(size):
+        a, b = bigger[i], smaller[i]
         if a != b:
-            if a != b + 1 or big[i + 1 :] != small[i + 1 :]:
+            if a != b + 1:
+                return None
+            if bigger[i + 1 : size] != smaller[i + 1 :] or any(bigger[size:]):
+                return None
+            return (i + 1, a)
+    for i in range(size, len(bigger)):
+        a = bigger[i]
+        if a:
+            if a != 1 or any(bigger[i + 1 :]):
                 return None
             return (i + 1, a)
     return None
@@ -182,19 +193,25 @@ def path_to_pair(path, n):
 
 
 def _check_pair(blocks, tableau, n):
-    blocks = tuple(tuple(sorted(b)) for b in blocks)
-    members = sorted(x for b in blocks for x in b)
+    blocks = tuple([tuple(sorted(b)) for b in blocks])
+    members = []
+    for b in blocks:
+        members.extend(b)
+    members.sort()
     k = len(members)
-    if members != list(range(1, k + 1)) or any(not b for b in blocks):
+    if members != list(range(1, k + 1)) or () in blocks:
         raise ValueError(f"incompatible pair: blocks must partition 1..{k}")
     blocks = tuple(sorted(blocks, key=lambda b: b[0]))
-    rows = tuple(tuple(r) for r in tableau)
+    rows = tuple([tuple(r) for r in tableau])
     if not rows or not is_semistandard(rows):
         raise ValueError("incompatible pair: tableau is not semistandard")
-    if sum(tableau_shape(rows)) != n:
+    entries = []
+    for r in rows:
+        entries.extend(r)
+    if len(entries) != n:
         raise ValueError(f"incompatible pair: tableau must have {n} cells")
-    entries = sorted(x for r in rows for x in r)
-    maxima = sorted(b[-1] for b in blocks)
+    entries.sort()
+    maxima = sorted([b[-1] for b in blocks])
     expected = [0] * (n - len(blocks)) + maxima
     if len(blocks) > n or entries != expected:
         raise ValueError(
@@ -208,18 +225,23 @@ def pair_to_path(blocks, tableau, n):
     """Rebuild the walk from a (set partition, zeroed tableau) pair."""
     blocks, rows, k = _check_pair(blocks, tableau, n)
     work = [list(r) for r in rows]
+    shape = [len(r) for r in rows]  # row lengths of work, kept in step with it
     by_max = {b[-1]: list(b) for b in blocks}
-    shapes = [tableau_shape(rows)]
+    shapes = [tuple(shape)]
     for i in range(k, 0, -1):
         # i is the largest entry left and entries are distinct, so it ends
         # its row: only the row ends need looking at
-        row = next((r for r in work if r[-1] == i), None)
-        if row is None:
+        for r, row in enumerate(work):
+            if row[-1] == i:
+                break
+        else:
             raise RuntimeError(f"entry {i} missing despite validation")
         row.pop()
+        shape[r] -= 1
         if not row:
             work.pop()
-        shapes.append(tableau_shape(work))
+            shape.pop()
+        shapes.append(tuple(shape))
         home = by_max.pop(i)
         if len(home) == 1:
             reinsert = 0
@@ -227,8 +249,12 @@ def pair_to_path(blocks, tableau, n):
             home.pop()
             reinsert = home[-1]
             by_max[reinsert] = home
-        _insert(work, reinsert)
-        shapes.append(tableau_shape(work))
+        r, _ = _insert(work, reinsert)
+        if r == len(shape):
+            shape.append(1)
+        else:
+            shape[r] += 1
+        shapes.append(tuple(shape))
     if shapes[-1] != (n,) or any(x for r in work for x in r):
         raise RuntimeError("reverse replay did not end at the one-row zero tableau")
     return tuple(reversed(shapes))

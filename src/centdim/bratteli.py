@@ -163,17 +163,30 @@ def enumerate_paths(diagram, level, label):
     For permutation-module diagrams the number of paths equals the vertex
     subscript; for reflection-module diagrams it does not (the quasi
     subscripts are not path counts) but the graph walk is still defined.
+
+    Only the target's ancestors are walked: a backward pass over the edges
+    collects, row by row, the vertices that reach the target, and the
+    forward sweep extends a path along an edge only when the edge's head is
+    one of them. The paths into a vertex depend only on the paths into its
+    ancestors, so the list and its order are those of a sweep over every
+    vertex, at a fraction of the partial paths.
     """
     idx = diagram._row_index(level)
     if all(lab != label for lab, _ in diagram.rows[idx]):
         raise ValueError(
             f"no vertex {format_label(label)} at level {format_level(Fraction(level))}"
         )
+    ancestors = [None] * (idx + 1)
+    ancestors[idx] = {label}
+    for i in range(idx, 0, -1):
+        below = ancestors[i]
+        ancestors[i - 1] = {src for src, dst in diagram.edges[i] if dst in below}
     paths = {diagram.rows[0][0][0]: [()]}
     for i in range(1, idx + 1):
+        keep = ancestors[i]
         nxt = {}
         for src, dst in diagram.edges[i]:
-            if src in paths:
+            if dst in keep and src in paths:
                 nxt.setdefault(dst, []).extend(
                     path + (src,) for path in paths[src]
                 )

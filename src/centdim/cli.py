@@ -8,6 +8,7 @@ invocations produce byte-identical output.
 """
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -19,6 +20,22 @@ from .bratteli import build_diagram, export, format_label
 from .dims import GroupModuleContext, block_dimension, decompose, parse_level
 from .young import parse_partition
 from . import verify as verify_mod
+
+
+@contextlib.contextmanager
+def _exact_output():
+    """Lift the interpreter's cap on int-to-str digits while an exact answer
+    is written; argv parsing keeps the cap, so an oversized literal is
+    still refused."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # no cap before 3.10.7
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class _LiteralError(Exception):
@@ -60,14 +77,18 @@ def _cmd_dim(args):
     level = _usage_parse(parse_level, args.k, "level")
     label = _parse_label(args.group, args.label)
     ctx = GroupModuleContext(args.group, args.n, args.module, level)
-    print(block_dimension(ctx, label))
+    value = block_dimension(ctx, label)
+    with _exact_output():
+        print(value)
     return 0
 
 
 def _cmd_decompose(args):
     level = _usage_parse(parse_level, args.k, "level")
     ctx = GroupModuleContext(args.group, args.n, args.module, level)
-    blocks = [(format_label(lab), d) for lab, d in decompose(ctx)]
+    found = decompose(ctx)
+    with _exact_output():
+        blocks = [(format_label(lab), str(d)) for lab, d in found]
     if args.format == "text":
         print("  ".join(f"{lab}:{d}" for lab, d in blocks))
     elif args.format == "json":
@@ -76,7 +97,7 @@ def _cmd_decompose(args):
             "module": args.module,
             "level": str(level),
             "blocks": [
-                {"label": lab, "multiplicity": str(d)} for lab, d in blocks
+                {"label": lab, "multiplicity": d} for lab, d in blocks
             ],
         }
         print(json.dumps(doc, separators=(",", ":")))
@@ -94,7 +115,8 @@ def _cmd_bratteli(args):
     group, n = _parse_pair(args.pair)
     levels = _usage_parse(parse_level, args.levels, "levels")
     diagram = build_diagram(group, n, args.module, levels)
-    sys.stdout.write(export(diagram, args.format))
+    with _exact_output():
+        sys.stdout.write(export(diagram, args.format))
     return 0
 
 
@@ -109,10 +131,10 @@ def _as_shape_list(doc, key):
     value = doc.get(key) if isinstance(doc, dict) else None
     if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
         raise ValueError(f"input must carry {key!r} as a list of lists")
-    try:
-        return tuple(tuple(int(x) for x in row) for row in value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{key!r} entries must be integers") from None
+    # JSON integers only: int() would turn 3.5 into 3, true into 1, "3" into 3
+    if not all(type(x) is int for row in value for x in row):
+        raise ValueError(f"{key!r} entries must be integers")
+    return tuple(tuple(row) for row in value)
 
 
 def _cmd_bijection(args):

@@ -3,6 +3,9 @@
 * The first, quadratic tower builder and walk replay. The package's
   build_diagram and bijection replay now do one branching call per vertex
   and one validating pass per walk.
+* is_semistandard as it was, with generator passes.
+* enumerate_paths as it was, extending paths to every vertex of every row.
+  The package's walks only the target's ancestors.
 * induce_alt as it was, inducing both the base and its conjugate.
 * The eight hand-written dim_* families with _fold_alt, _quasi and the
   block_dimension dispatch table. The package computes them with one kernel.
@@ -15,9 +18,10 @@ numbers) is imported from the package. Do not edit.
 """
 
 from bisect import bisect_left, bisect_right
+from fractions import Fraction
 
 from centdim.arith import binomial, stirling2
-from centdim.bijection import is_semistandard, tableau_shape
+from centdim.bijection import tableau_shape
 from centdim.bratteli import BratteliDiagram, _sort_key, format_label
 from centdim.branch import (
     AltLabel,
@@ -26,7 +30,7 @@ from centdim.branch import (
     restrict_sym,
     restrict_sym_to_alt,
 )
-from centdim.dims import check_level
+from centdim.dims import check_level, format_level
 from centdim.young import check_partition, conjugate, is_partition, kostka_hook_type
 
 
@@ -102,6 +106,39 @@ def build_diagram(group, n, module, max_level):
         edges.append(row_edges)
 
     return BratteliDiagram(group, n, module, max_level, rows, edges)
+
+
+def enumerate_paths(diagram, level, label):
+    idx = diagram._row_index(level)
+    if all(lab != label for lab, _ in diagram.rows[idx]):
+        raise ValueError(
+            f"no vertex {format_label(label)} at level {format_level(Fraction(level))}"
+        )
+    paths = {diagram.rows[0][0][0]: [()]}
+    for i in range(1, idx + 1):
+        nxt = {}
+        for src, dst in diagram.edges[i]:
+            if src in paths:
+                nxt.setdefault(dst, []).extend(
+                    path + (src,) for path in paths[src]
+                )
+        paths = nxt
+    return [path + (label,) for path in paths.get(label, [])]
+
+
+def is_semistandard(rows):
+    lengths = [len(r) for r in rows]
+    if any(not row for row in rows):
+        return False
+    if any(lengths[i] < lengths[i + 1] for i in range(len(rows) - 1)):
+        return False
+    for row in rows:
+        if any(row[j] > row[j + 1] for j in range(len(row) - 1)):
+            return False
+    for i in range(len(rows) - 1):
+        if any(rows[i][j] >= rows[i + 1][j] for j in range(lengths[i + 1])):
+            return False
+    return True
 
 
 def row_insert(rows, value):

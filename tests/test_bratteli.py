@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from fractions import Fraction
 
 import golden
@@ -97,6 +98,20 @@ def test_paths_are_edge_walks():
         for i in range(1, len(path)):
             assert (path[i - 1], path[i]) in diagram.edges[i]
     assert enumerate_paths(diagram, 0, (4,)) == [((4,),)]
+
+
+def test_path_memory_is_bounded_by_the_answer():
+    # Extending paths to every vertex of every row peaks near 40 MB here;
+    # walking only the ancestors of (6) keeps the peak near the answer's size.
+    diagram = build_diagram("S", 6, "perm", 8)
+    tracemalloc.start()
+    try:
+        paths = enumerate_paths(diagram, 8, (6,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(paths) == diagram.vertex_count(8, (6,)) == 4111
+    assert peak < 10 * 2**20, peak
 
 
 def test_zero_count_vertices_are_kept():

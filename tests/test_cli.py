@@ -8,7 +8,7 @@ from pathlib import Path
 
 import centdim
 from centdim.cli import main
-from centdim.dims import GroupModuleContext
+from centdim.dims import GroupModuleContext, block_dimension
 from centdim.oracle import multiplicity_oracle
 
 
@@ -148,6 +148,22 @@ def test_bijection_stdin(capsys, monkeypatch):
     assert out == '{"setPartition":[],"tableau":[[0,0,0]]}\n'
 
 
+def test_bijection_takes_only_json_integers(capsys):
+    for odd in (3.5, True, "3"):
+        for direction, key, doc in (
+            ("to-pair", "path", {"path": [[3], [2], [odd]]}),
+            ("to-path", "setPartition", {"setPartition": [[odd]], "tableau": [[0, 0, 1]]}),
+            ("to-path", "tableau", {"setPartition": [[1]], "tableau": [[0, 0, odd]]}),
+        ):
+            code, out, err = run(
+                capsys, "bijection", "--n", "3", "--direction", direction,
+                "--input", json.dumps(doc),
+            )
+            assert (code, out, err) == (
+                3, "", f"error: '{key}' entries must be integers\n"
+            ), doc
+
+
 def test_exit_codes(capsys):
     code, _, err = run(
         capsys, "bijection", "--n", "4", "--direction", "to-pair",
@@ -220,18 +236,22 @@ def test_output_is_deterministic(capsys):
     assert first == second and first[0] == 0
 
 
-def test_deep_level_in_a_fresh_process():
-    # a cold Stirling cache at k = 1500 is deeper than a plain recursion goes
-    argv = ["dim", "--group", "S", "--module", "perm", "--n", "5",
-            "--k", "1500", "--lambda", "3,2"]
+def run_process(*argv):
+    """Run the CLI in a fresh interpreter, as a user would."""
     src = Path(centdim.__file__).resolve().parent.parent
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "centdim.cli", *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(src)},
         timeout=60,
     )
+
+
+def test_deep_level_in_a_fresh_process():
+    # a cold Stirling cache at k = 1500 is deeper than a plain recursion goes
+    proc = run_process("dim", "--group", "S", "--module", "perm", "--n", "5",
+                       "--k", "1500", "--lambda", "3,2")
     assert (proc.returncode, proc.stderr) == (0, "")
     ctx = GroupModuleContext("S", 5, "perm", Fraction(1500))
     assert proc.stdout == f"{multiplicity_oracle(ctx, (3, 2))}\n"
@@ -239,14 +259,41 @@ def test_deep_level_in_a_fresh_process():
 
 def test_wide_label_at_a_low_level_in_a_fresh_process():
     # S2(2, t) vanishes for t > 2, so no Kostka term of depth n is needed
-    argv = ["dim", "--group", "S", "--module", "perm", "--n", "1200",
-            "--k", "2", "--lambda", "1200"]
-    src = Path(centdim.__file__).resolve().parent.parent
-    proc = subprocess.run(
-        [sys.executable, "-m", "centdim.cli", *argv],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-        timeout=60,
-    )
+    proc = run_process("dim", "--group", "S", "--module", "perm", "--n", "1200",
+                       "--k", "2", "--lambda", "1200")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2\n", "")
+
+
+def test_answers_past_the_digit_cap_in_a_fresh_process():
+    # the answer has 4335 digits, past the interpreter's default of 4300
+    proc = run_process("dim", "--group", "S", "--module", "perm", "--n", "4",
+                       "--k", "7200", "--lambda", "2,1,1")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    ctx = GroupModuleContext("S", 4, "perm", Fraction(7200))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = f"{block_dimension(ctx, (2, 1, 1))}\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(expected) > 4301
+    assert proc.stdout == expected
+    proc = run_process("decompose", "--group", "S", "--module", "perm", "--n", "4",
+                       "--k", "7200")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "2,1,1:" + expected.rstrip() in proc.stdout.split("  ")
+
+
+def test_digit_cap_still_guards_argv(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(
+        capsys, "dim", "--group", "S", "--module", "perm", "--n", "4" * 5000,
+        "--k", "3", "--lambda", "4",
+    )
+    assert (code, out) == (2, "") and "invalid int value" in err
+    code, out, _ = run(
+        capsys, "dim", "--group", "S", "--module", "perm", "--n", "4",
+        "--k", "3", "--lambda", "4",
+    )
+    assert (code, out) == (0, "5\n")
+    assert sys.get_int_max_str_digits() == limit

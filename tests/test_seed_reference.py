@@ -1,7 +1,8 @@
 """Rewritten code against frozen copies of what it replaced
-(seed_reference.py): the one-pass tower builder and walk replay, induce_alt
-and the dimension kernel. Same rows, edges and exports, same pairs and
-walks, same inductions and dimensions, same error messages."""
+(seed_reference.py): the one-pass tower builder and walk replay, the pruned
+path enumeration, induce_alt and the dimension kernel. Same rows, edges and
+exports, same paths, pairs and walks, same inductions and dimensions, same
+error messages."""
 
 import ast
 import importlib
@@ -55,6 +56,25 @@ def test_builder_rejects_like_reference():
         assert got == outcome(ref.build_diagram, *args), args
 
 
+def test_enumerate_paths_matches_reference():
+    vertices = 0
+    for group, module in (("S", "perm"), ("S", "refl"), ("A", "perm"), ("A", "refl")):
+        for n in range(2 if group == "S" else 4, 10):
+            diagram = build_diagram(group, n, module, 4 if n >= 8 else 5)
+            for level in diagram.levels():
+                for lab, _ in diagram.row(level):
+                    got = enumerate_paths(diagram, level, lab)
+                    assert got == ref.enumerate_paths(diagram, level, lab), (
+                        group, module, n, level, lab,
+                    )
+                    vertices += 1
+            missing = (n + 1,) if group == "S" else AltLabel((n + 1,))
+            got = outcome(enumerate_paths, diagram, Fraction(1, 2), missing)
+            assert got[0] == "ValueError"
+            assert got == outcome(ref.enumerate_paths, diagram, Fraction(1, 2), missing)
+    assert vertices == 1136
+
+
 def test_bijection_matches_reference():
     walks = 0
     for n in range(2, 8):
@@ -85,6 +105,7 @@ MALFORMED_PATHS = [
     (((4,), (), (4,)), 4),
     (((4,), (3,), (3, 1), (2, 1), (3, 1, 1)), 4),
     (((2, 2), (2, 1), (2, 2)), 4),
+    (((4,), (3,), (3, 1.0)), 4),
 ]
 
 MALFORMED_PAIRS = [
@@ -113,6 +134,31 @@ def test_malformed_pairs_raise_like_reference():
         got = outcome(bijection.pair_to_path, blocks, tableau, n)
         assert got[0] == "ValueError", (blocks, tableau)
         assert got == outcome(ref.pair_to_path, blocks, tableau, n), (blocks, tableau)
+
+
+# Entries of other numeric types, accepted or refused today: whatever the
+# frozen copies do, the rewrites do too.
+ODD_PATHS = [
+    (((2,), (1,), (1, True)), 2),
+    (((2,), (True,), (2,)), 2),
+]
+
+ODD_PAIRS = [
+    (((1,),), ((0, 0, 1.0),), 3),
+    (((1,),), ((0.0, 0, 1),), 3),
+    (((1, 2),), ((0.0, 2),), 2),
+]
+
+
+def test_odd_entries_match_reference():
+    for path, n in ODD_PATHS:
+        assert outcome(bijection.path_to_pair, path, n) == outcome(
+            ref.path_to_pair, path, n
+        ), path
+    for blocks, tableau, n in ODD_PAIRS:
+        assert outcome(bijection.pair_to_path, blocks, tableau, n) == outcome(
+            ref.pair_to_path, blocks, tableau, n
+        ), (blocks, tableau)
 
 
 small_shape = st.lists(st.integers(min_value=-1, max_value=4), max_size=4).map(tuple)
