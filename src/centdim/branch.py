@@ -11,8 +11,6 @@ AltLabel carries (base, sign) with base always the canonical representative.
 Text form appends the sign to the partition: "2,2+", "3,1,1-", "4".
 """
 
-from dataclasses import dataclass
-
 from .young import (
     check_partition,
     conjugate,
@@ -38,31 +36,46 @@ def splits_over_alt(lam):
     return lam == conjugate(lam) and sum(lam) >= 2
 
 
-@dataclass(frozen=True)
 class AltLabel:
     """An irreducible label for an alternating group.
 
     base: canonical partition (lexicographically >= its conjugate).
     sign: '+', '-' for the two halves of a split label, None otherwise.
+
+    Immutable; equal and hashed by (base, sign), and equal only to labels.
     """
 
-    base: tuple
-    sign: str | None = None
+    __match_args__ = ("base", "sign")
 
-    def __post_init__(self):
-        base = check_partition(self.base, "alternating label base")
-        object.__setattr__(self, "base", base)
+    def __init__(self, base, sign=None):
+        base = check_partition(base, "alternating label base")
         if base != canonical_base(base):
             raise ValueError(
                 f"label base {base} is not canonical; use {canonical_base(base)}"
             )
-        if self.sign not in (None, "+", "-"):
-            raise ValueError(f"bad sign {self.sign!r}")
-        if (self.sign is not None) != splits_over_alt(base):
+        if sign not in (None, "+", "-"):
+            raise ValueError(f"bad sign {sign!r}")
+        if (sign is not None) != splits_over_alt(base):
             raise ValueError(
                 f"label {base} must carry a sign iff it is self-conjugate "
-                f"of size >= 2 (got sign={self.sign!r})"
+                f"of size >= 2 (got sign={sign!r})"
             )
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "sign", sign)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.base, self.sign) == (other.base, other.sign)
+
+    def __hash__(self):
+        return hash((self.base, self.sign))
 
     @property
     def size(self):
@@ -81,6 +94,13 @@ class AltLabel:
 def format_alt_label(label):
     text = format_partition(label.base)
     return text + (label.sign or "")
+
+
+def format_label(label):
+    """Text form of an S label (a partition) or an AltLabel."""
+    if isinstance(label, AltLabel):
+        return format_alt_label(label)
+    return format_partition(label)
 
 
 def parse_alt_label(text):

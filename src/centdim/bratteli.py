@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .branch import (
     AltLabel,
-    format_alt_label,
+    format_label,
     induce_alt,
     induce_sym,
     restrict_alt,
@@ -31,13 +31,7 @@ from .branch import (
     restrict_sym_to_alt,
 )
 from .dims import check_level, format_level
-from .young import format_partition, partition_sort_key
-
-
-def format_label(label):
-    if isinstance(label, AltLabel):
-        return format_alt_label(label)
-    return format_partition(label)
+from .young import partition_sort_key
 
 
 def _sort_key(label):
@@ -84,7 +78,12 @@ class BratteliDiagram:
         )
 
     def square_sum(self, level):
-        return sum(c * c for _, c in self.rows[self._row_index(level)])
+        return row_square_sum(self.rows[self._row_index(level)])
+
+
+def row_square_sum(row):
+    """Sum of the squared counts of a row of (label, count) pairs."""
+    return sum(c * c for _, c in row)
 
 
 def _restriction(group, label):
@@ -211,7 +210,7 @@ def _export_text(diagram):
     width = max(len(p) for p in prefixes) + 2
     for prefix, row in zip(prefixes, diagram.rows):
         cells = " ".join(f"[{format_label(lab)}]:{count}" for lab, count in row)
-        total = sum(c * c for _, c in row)
+        total = row_square_sum(row)
         lines.append(f"{prefix.ljust(width)}{cells} | {total}")
     return "\n".join(lines) + "\n"
 
@@ -230,7 +229,7 @@ def _export_json(diagram):
                     {"from": format_label(src), "to": format_label(dst)}
                     for src, dst in diagram.edges[i]
                 ],
-                "squareSum": str(sum(c * c for _, c in row)),
+                "squareSum": str(row_square_sum(row)),
             }
         )
     doc = {

@@ -2,24 +2,43 @@
 
 Subcommands: dim, decompose, bratteli, bijection, verify. Exit codes:
 0 success, 1 verify found failures, 2 malformed flags or literals,
-3 semantically invalid input (size mismatches, bad labels, bad paths).
+3 semantically invalid input (size mismatches, bad labels, bad paths),
+4 an internal error (any other exception, reported in one line).
 All normal output goes to stdout, diagnostics to stderr, and equal
 invocations produce byte-identical output.
+
+Each handler imports the modules it uses when it runs, so a process loads
+only what its subcommand needs. The library entry points below are looked
+up on this module at call time (see _lib), so a caller can rebind them.
 """
 
 import argparse
 import contextlib
-import csv
-import io
-import json
 import sys
 
-from .bijection import pair_to_path, path_to_pair
-from .branch import AltLabel
-from .bratteli import build_diagram, export, format_label
-from .dims import GroupModuleContext, block_dimension, decompose, parse_level
-from .young import parse_partition
-from . import verify as verify_mod
+_LIBRARY = {
+    "block_dimension": "dims",
+    "decompose": "dims",
+    "build_diagram": "bratteli",
+    "export": "bratteli",
+    "path_to_pair": "bijection",
+    "pair_to_path": "bijection",
+}
+
+
+def __getattr__(name):
+    if name not in _LIBRARY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    value = getattr(importlib.import_module(f"centdim.{_LIBRARY[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def _lib():
+    """This module, whose attributes resolve the library entry points."""
+    return sys.modules[__name__]
 
 
 @contextlib.contextmanager
@@ -50,6 +69,8 @@ def _usage_parse(fn, text, what):
 
 
 def _parse_label(group, text):
+    from .young import parse_partition
+
     if group == "S":
         return _usage_parse(parse_partition, text, "label")
     sign = None
@@ -58,6 +79,8 @@ def _parse_label(group, text):
         sign = body[-1]
         body = body[:-1]
     base = _usage_parse(parse_partition, body, "label")
+    from .branch import AltLabel
+
     # canonicality and sign rules are semantic, not syntactic
     return AltLabel(base, sign)
 
@@ -74,24 +97,31 @@ def _parse_pair(text):
 
 
 def _cmd_dim(args):
+    from .dims import GroupModuleContext, parse_level
+
     level = _usage_parse(parse_level, args.k, "level")
     label = _parse_label(args.group, args.label)
     ctx = GroupModuleContext(args.group, args.n, args.module, level)
-    value = block_dimension(ctx, label)
+    value = _lib().block_dimension(ctx, label)
     with _exact_output():
         print(value)
     return 0
 
 
 def _cmd_decompose(args):
+    from .branch import format_label
+    from .dims import GroupModuleContext, parse_level
+
     level = _usage_parse(parse_level, args.k, "level")
     ctx = GroupModuleContext(args.group, args.n, args.module, level)
-    found = decompose(ctx)
+    found = _lib().decompose(ctx)
     with _exact_output():
         blocks = [(format_label(lab), str(d)) for lab, d in found]
     if args.format == "text":
         print("  ".join(f"{lab}:{d}" for lab, d in blocks))
     elif args.format == "json":
+        import json
+
         doc = {
             "pair": f"{args.group}:{args.n}",
             "module": args.module,
@@ -102,6 +132,9 @@ def _cmd_decompose(args):
         }
         print(json.dumps(doc, separators=(",", ":")))
     else:
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["label", "multiplicity"])
@@ -112,15 +145,20 @@ def _cmd_decompose(args):
 
 
 def _cmd_bratteli(args):
+    from .dims import parse_level
+
     group, n = _parse_pair(args.pair)
     levels = _usage_parse(parse_level, args.levels, "levels")
-    diagram = build_diagram(group, n, args.module, levels)
+    lib = _lib()
+    diagram = lib.build_diagram(group, n, args.module, levels)
     with _exact_output():
-        sys.stdout.write(export(diagram, args.format))
+        sys.stdout.write(lib.export(diagram, args.format))
     return 0
 
 
 def _load_json(text):
+    import json
+
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -138,11 +176,13 @@ def _as_shape_list(doc, key):
 
 
 def _cmd_bijection(args):
+    import json
+
     text = args.input if args.input is not None else sys.stdin.read()
     doc = _load_json(text)
     if args.direction == "to-pair":
         path = _as_shape_list(doc, "path")
-        blocks, tableau = path_to_pair(path, args.n)
+        blocks, tableau = _lib().path_to_pair(path, args.n)
         out = {
             "setPartition": [list(b) for b in blocks],
             "tableau": [list(r) for r in tableau],
@@ -150,14 +190,16 @@ def _cmd_bijection(args):
     else:
         blocks = _as_shape_list(doc, "setPartition")
         tableau = _as_shape_list(doc, "tableau")
-        path = pair_to_path(blocks, tableau, args.n)
+        path = _lib().pair_to_path(blocks, tableau, args.n)
         out = {"path": [list(s) for s in path]}
     print(json.dumps(out, separators=(",", ":")))
     return 0
 
 
 def _cmd_verify(args):
-    results = verify_mod.run(args.scope, args.n_max, args.k_max)
+    from . import verify
+
+    results = verify.run(args.scope, args.n_max, args.k_max)
     failures = 0
     for name, ok, detail in results:
         status = "PASS" if ok else "FAIL"
@@ -229,6 +271,10 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # SystemExit and KeyboardInterrupt pass through
+        message = " ".join(str(exc).splitlines())
+        print(f"error: internal: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 4
 
 
 def entry():

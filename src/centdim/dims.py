@@ -14,7 +14,6 @@ Levels are fractions.Fraction values with denominator 1 or 2.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import bell_restricted, binomial, stirling2
@@ -60,24 +59,50 @@ def is_half(level):
     return Fraction(level).denominator == 2
 
 
-@dataclass(frozen=True)
 class GroupModuleContext:
     """Which algebra: group 'S' or 'A' on n letters, module 'perm' or 'refl',
-    at an integer or half-integer level."""
+    at an integer or half-integer level.
 
-    group: str
-    n: int
-    module: str
-    level: Fraction
+    Immutable; equal and hashed by (group, n, module, level), and equal only
+    to contexts."""
 
-    def __post_init__(self):
-        if self.group not in GROUPS:
-            raise ValueError(f"group must be one of {GROUPS}, got {self.group!r}")
-        if self.module not in MODULES:
-            raise ValueError(f"module must be one of {MODULES}, got {self.module!r}")
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        object.__setattr__(self, "level", check_level(self.level))
+    __match_args__ = ("group", "n", "module", "level")
+
+    def __init__(self, group, n, module, level):
+        if group not in GROUPS:
+            raise ValueError(f"group must be one of {GROUPS}, got {group!r}")
+        if module not in MODULES:
+            raise ValueError(f"module must be one of {MODULES}, got {module!r}")
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"n must be a positive integer, got {n!r}")
+        set_field = object.__setattr__
+        set_field(self, "group", group)
+        set_field(self, "n", n)
+        set_field(self, "module", module)
+        set_field(self, "level", check_level(level))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self):
+        return (self.group, self.n, self.module, self.level)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (
+            f"{type(self).__qualname__}(group={self.group!r}, n={self.n!r}, "
+            f"module={self.module!r}, level={self.level!r})"
+        )
 
     @property
     def k(self):

@@ -12,7 +12,7 @@ Two kinds of evidence, kept deliberately redundant with the test suite:
 
 from fractions import Fraction
 
-from .bratteli import build_diagram, format_label
+from .bratteli import build_diagram, format_label, row_square_sum
 from .dims import GroupModuleContext, block_dimension, labels_for
 from .oracle import multiplicity_oracle
 
@@ -264,7 +264,7 @@ def run_golden():
             want = table["rows"][_level_text(i)]
             if got != want:
                 problems.append(f"row {_level_text(i)}: {got} != {want}")
-            total = sum(c * c for _, c in row)
+            total = row_square_sum(row)
             if total != table["totals"][i]:
                 problems.append(
                     f"square sum at {_level_text(i)}: {total} != {table['totals'][i]}"

@@ -9,6 +9,8 @@
 * induce_alt as it was, inducing both the base and its conjugate.
 * The eight hand-written dim_* families with _fold_alt, _quasi and the
   block_dimension dispatch table. The package computes them with one kernel.
+* AltLabel and GroupModuleContext as frozen dataclasses. The package writes
+  them as plain classes, so that importing it does not load dataclasses.
 
 These copies keep the earlier code exactly as it was, so the tests can
 demand byte-identical rows, edges, exports, pairs, walks, dimensions and
@@ -18,20 +20,31 @@ numbers) is imported from the package. Do not edit.
 """
 
 from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 
 from centdim.arith import binomial, stirling2
 from centdim.bijection import tableau_shape
 from centdim.bratteli import BratteliDiagram, _sort_key, format_label
 from centdim.branch import (
+    _SIGN_ORDER,
     AltLabel,
+    canonical_base,
+    format_alt_label,
     induce_sym,
     restrict_alt,
     restrict_sym,
     restrict_sym_to_alt,
+    splits_over_alt,
 )
-from centdim.dims import check_level, format_level
-from centdim.young import check_partition, conjugate, is_partition, kostka_hook_type
+from centdim.dims import GROUPS, MODULES, check_level, format_level, is_half, level_floor
+from centdim.young import (
+    check_partition,
+    conjugate,
+    is_partition,
+    kostka_hook_type,
+    partition_sort_key,
+)
 
 
 def _restriction(group, label):
@@ -400,3 +413,80 @@ def block_dimension(ctx, label):
             ("refl", True): dim_qz_alt_half,
         }
     return table[(ctx.module, ctx.half)](n, k, label)
+
+
+@dataclass(frozen=True)
+class SeedAltLabel:
+    """An irreducible label for an alternating group.
+
+    base: canonical partition (lexicographically >= its conjugate).
+    sign: '+', '-' for the two halves of a split label, None otherwise.
+    """
+
+    base: tuple
+    sign: str | None = None
+
+    def __post_init__(self):
+        base = check_partition(self.base, "alternating label base")
+        object.__setattr__(self, "base", base)
+        if base != canonical_base(base):
+            raise ValueError(
+                f"label base {base} is not canonical; use {canonical_base(base)}"
+            )
+        if self.sign not in (None, "+", "-"):
+            raise ValueError(f"bad sign {self.sign!r}")
+        if (self.sign is not None) != splits_over_alt(base):
+            raise ValueError(
+                f"label {base} must carry a sign iff it is self-conjugate "
+                f"of size >= 2 (got sign={self.sign!r})"
+            )
+
+    @property
+    def size(self):
+        return sum(self.base)
+
+    def sort_key(self):
+        return (partition_sort_key(self.base), _SIGN_ORDER[self.sign])
+
+    def __str__(self):
+        return format_alt_label(self)
+
+    def __repr__(self):
+        return f"AltLabel({self.base!r}, {self.sign!r})"
+
+
+@dataclass(frozen=True)
+class SeedGroupModuleContext:
+    """Which algebra: group 'S' or 'A' on n letters, module 'perm' or 'refl',
+    at an integer or half-integer level."""
+
+    group: str
+    n: int
+    module: str
+    level: Fraction
+
+    def __post_init__(self):
+        if self.group not in GROUPS:
+            raise ValueError(f"group must be one of {GROUPS}, got {self.group!r}")
+        if self.module not in MODULES:
+            raise ValueError(f"module must be one of {MODULES}, got {self.module!r}")
+        if not isinstance(self.n, int) or self.n < 1:
+            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "level", check_level(self.level))
+
+    @property
+    def k(self):
+        return level_floor(self.level)
+
+    @property
+    def half(self):
+        return is_half(self.level)
+
+    @property
+    def label_size(self):
+        """Size of the partitions indexing blocks at this level."""
+        return self.n - 1 if self.half else self.n
+
+
+# The dataclass repr prints the class's qualified name; this is the name it had.
+SeedGroupModuleContext.__qualname__ = "GroupModuleContext"

@@ -6,7 +6,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import centdim
+from centdim import cli
 from centdim.cli import main
 from centdim.dims import GroupModuleContext, block_dimension
 from centdim.oracle import multiplicity_oracle
@@ -297,3 +300,45 @@ def test_digit_cap_still_guards_argv(capsys):
     )
     assert (code, out) == (0, "5\n")
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_internal_error_exits_4_with_one_line(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("broken\nhandler")
+
+    monkeypatch.setattr(cli, "_cmd_dim", broken)
+    code, out, err = run(
+        capsys, "dim", "--group", "S", "--module", "perm", "--n", "4",
+        "--k", "3", "--lambda", "4",
+    )
+    assert (code, out, err) == (4, "", "error: internal: RuntimeError: broken handler\n")
+
+
+@pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
+def test_interrupts_pass_the_guard(monkeypatch, exc):
+    def interrupted(args):
+        raise exc()
+
+    monkeypatch.setattr(cli, "_cmd_dim", interrupted)
+    with pytest.raises(exc):
+        main(["dim", "--group", "S", "--module", "perm", "--n", "4", "--k", "3",
+              "--lambda", "4"])
+
+
+def test_library_names_are_looked_up_at_call_time(capsys, monkeypatch):
+    # a caller that rebinds cli.block_dimension (a tracer, say) is what runs
+    monkeypatch.setattr(cli, "block_dimension", lambda ctx, label: 42)
+    code, out, _ = run(
+        capsys, "dim", "--group", "S", "--module", "perm", "--n", "4",
+        "--k", "3", "--lambda", "4",
+    )
+    assert (code, out) == (0, "42\n")
+
+
+def test_internal_error_in_a_fresh_process():
+    # num_skew_syt still recurses once per cell; the guard reports it in one line
+    proc = run_process("dim", "--group", "S", "--module", "perm", "--n", "1200",
+                       "--k", "1500", "--lambda", "1200")
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr.startswith("error: internal: RecursionError: ")
+    assert proc.stderr.count("\n") == 1

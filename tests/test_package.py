@@ -1,0 +1,157 @@
+"""The package surface and what each command loads.
+
+Importing centdim loads none of its modules; a public name imports its
+module on first use, and each CLI subcommand imports only the modules it
+runs. The footprint checks run in fresh interpreters, since this process
+has long since loaded everything.
+"""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import centdim
+
+SUBMODULES = ["arith", "bijection", "branch", "bratteli", "dims", "oracle", "young"]
+
+PUBLIC = sorted(SUBMODULES + [
+    "AltLabel", "BratteliDiagram", "Dominance", "GroupModuleContext", "ScaleExceeded",
+    "alt_labels", "bell", "bell_restricted", "binomial", "build_diagram", "character_mn",
+    "conjugacy_classes", "conjugate", "decompose", "dim_model_block",
+    "dim_partition_algebra_irr", "dim_qp_irr", "dim_qz", "dim_qz_alt", "dim_qz_alt_half",
+    "dim_qz_half", "dim_z", "dim_z_algebra", "dim_z_alt", "dim_z_alt_half", "dim_z_half",
+    "dominance_compare", "enumerate_paths", "export", "format_partition", "hook_length",
+    "induce_alt", "induce_sym", "involutions_with_fixed_points", "kostka",
+    "kostka_hook_type", "multiplicity_oracle", "num_skew_syt", "num_syt",
+    "odd_double_factorial", "pair_count_oracle", "pair_to_path", "parse_level",
+    "parse_partition", "partitions_of", "path_to_pair", "restrict_alt", "restrict_sym",
+    "restrict_sym_to_alt", "row_insert", "row_uninsert", "set_partitions",
+    "singleton_free_bell", "stirling2",
+])
+
+
+def test_public_names_resolve():
+    assert len(PUBLIC) == 61
+    assert sorted(centdim.__all__) == PUBLIC
+    assert set(PUBLIC) <= set(dir(centdim))
+    for name in PUBLIC:
+        ns = {}
+        exec(f"from centdim import {name}", ns)
+        value = getattr(centdim, name)
+        assert ns[name] is value
+        if name in SUBMODULES:
+            assert value is importlib.import_module(f"centdim.{name}")
+        else:
+            assert getattr(sys.modules[value.__module__], name) is value
+    ns = {}
+    exec("from centdim import *", ns)
+    del ns["__builtins__"]
+    assert sorted(ns) == PUBLIC
+    assert centdim.__version__ == "0.1.0"
+    with pytest.raises(AttributeError):
+        centdim.no_such_name
+
+
+def fresh(code, *argv):
+    """Run code in a fresh interpreter; returns its stdout lines."""
+    src = Path(centdim.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_star_import_in_a_fresh_process():
+    lines = fresh(
+        "import sys\n"
+        "from centdim import *\n"
+        "print(sorted(k for k in dir() if not k.startswith('_') and k != 'sys'))\n"
+        "import centdim\n"
+        "print(centdim.__version__)\n"
+    )
+    assert lines == [str(PUBLIC), "0.1.0"]
+
+
+# Runs the CLI as `python -m centdim.cli` does, then prints the exit code and
+# every loaded module on the last line.
+RUN_CLI = """
+import runpy, sys
+sys.argv = ["centdim", *sys.argv[1:]]
+try:
+    runpy.run_module("centdim.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(code, *sorted(sys.modules))
+"""
+
+
+def cli_footprint(*argv):
+    """(exit code, stdout lines before the last, loaded modules)."""
+    lines = fresh(RUN_CLI, *argv)
+    code, *modules = lines[-1].split()
+    return int(code), lines[:-1], set(modules)
+
+
+def test_importing_the_package_loads_no_module():
+    lines = fresh(
+        "import sys\n"
+        "import centdim\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('centdim')))\n"
+        "import centdim.cli\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('centdim')))\n"
+        "centdim.stirling2\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('centdim')))\n"
+    )
+    assert lines == ["centdim", "centdim centdim.cli", "centdim centdim.arith centdim.cli"]
+
+
+DIMS_ONLY = {
+    "centdim.bratteli", "centdim.bijection", "centdim.oracle", "centdim.verify",
+    "dataclasses", "csv", "json",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        ("dim --group S --module perm --n 4 --k 3 --lambda 2,2", ["5"]),
+        ("dim --group A --module refl --n 5 --k 2 --lambda 3,1,1+", ["1"]),
+        (
+            "decompose --group S --module perm --n 4 --k 3",
+            ["4:5  3,1:10  2,2:5  2,1,1:6  1,1,1,1:1"],
+        ),
+        ("decompose --group A --module perm --n 4 --k 3", ["4:6  3,1:16  2,2+:5  2,2-:5"]),
+    ],
+)
+def test_dim_and_decompose_load_only_the_kernel(argv, stdout):
+    code, out, modules = cli_footprint(*argv.split())
+    assert (code, out) == (0, stdout)
+    assert "centdim.dims" in modules
+    assert not modules & DIMS_ONLY
+
+
+def test_bijection_loads_no_dimension_code():
+    code, out, modules = cli_footprint(
+        "bijection", "--n", "4", "--direction", "to-path",
+        "--input", '{"setPartition":[[1],[2,3]],"tableau":[[0,0],[1,3]]}',
+    )
+    assert (code, out) == (0, ['{"path":[[4],[3],[3,1],[2,1],[3,1],[2,1],[2,2]]}'])
+    assert "centdim.bijection" in modules
+    assert not modules & {"centdim.dims", "centdim.branch", "dataclasses"}
+
+
+def test_malformed_argv_loads_no_submodule():
+    code, out, modules = cli_footprint(
+        "dim", "--group", "Q", "--module", "perm", "--n", "4", "--k", "3", "--lambda", "4"
+    )
+    assert (code, out) == (2, [])
+    assert {m for m in modules if m.split(".")[0] == "centdim"} == {"centdim"}

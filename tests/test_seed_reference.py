@@ -1,13 +1,15 @@
 """Rewritten code against frozen copies of what it replaced
 (seed_reference.py): the one-pass tower builder and walk replay, the pruned
-path enumeration, induce_alt and the dimension kernel. Same rows, edges and
-exports, same paths, pairs and walks, same inductions and dimensions, same
-error messages."""
+path enumeration, induce_alt, the dimension kernel and the label classes.
+Same rows, edges and exports, same paths, pairs and walks, same inductions
+and dimensions, same label behaviour, same error messages."""
 
 import ast
+import copy
 import importlib
 import inspect
 import os
+import pickle
 import pkgutil
 import subprocess
 import sys
@@ -270,3 +272,99 @@ def test_uninsert_raises_under_optimize():
         timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ValueError\n", "")
+
+
+def _all_outcomes(make, args_list):
+    """The repr, str and hash of make(*args) for each args, or the type and
+    message of what it raised."""
+    out = []
+    for args in args_list:
+        try:
+            out.append(("ok", _value_view(make(*args))))
+        except Exception as exc:
+            out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+def _value_view(x):
+    return repr(x), str(x), hash(x)
+
+
+def _assert_same_records(new, old, extra):
+    """Same repr, str, hash, extra fields, and the same == on every pair."""
+    assert [_value_view(a) + extra(a) for a in new] == [
+        _value_view(b) + extra(b) for b in old
+    ]
+    for i, a in enumerate(new):
+        assert a != old[i] and old[i] != a  # different classes never compare equal
+        assert a.__eq__((a,)) is NotImplemented
+        assert [a == b for b in new] == [old[i] == b for b in old]
+
+
+def _assert_frozen_like_reference(new, old, fields):
+    for name in (*fields, "other"):
+        for act in (lambda x: setattr(x, name, 0), lambda x: delattr(x, name)):
+            seen = []
+            for x in (new, old):
+                with pytest.raises(AttributeError) as info:
+                    act(x)
+                seen.append(str(info.value))
+            assert seen[0] == seen[1]
+
+
+def _assert_round_trips(values):
+    copies = [copy.copy, copy.deepcopy] + [
+        lambda x, p=p: pickle.loads(pickle.dumps(x, protocol=p))
+        for p in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for x in values:
+        for make_copy in copies:
+            y = make_copy(x)
+            assert type(y) is type(x) and y == x
+            assert _value_view(y) == _value_view(x)
+
+
+def test_alt_label_matches_reference():
+    args = [(lab.base, lab.sign) for m in range(11) for lab in alt_labels(m)]
+    new = [AltLabel(*a) for a in args]
+    old = [ref.SeedAltLabel(*a) for a in args]
+    _assert_same_records(new, old, lambda x: (x.base, x.sign, x.size, x.sort_key()))
+    assert [AltLabel(base=b, sign=s) for b, s in args] == new
+    bad = [
+        ((1, 2), None), ((2, 1, 1), None), ((3,), "x"), ((3,), "+"), ((2, 2), None),
+        ((2, 2), "*"), ((0,), None), ((-1,), None), ((2, 0), None), ([3, 1], None),
+        ("3", None), (None, None), ((2.0,), None), ((2, 1), "+-"), ((3, 1, 1), None),
+    ]
+    assert _all_outcomes(AltLabel, bad) == _all_outcomes(ref.SeedAltLabel, bad)
+    _assert_frozen_like_reference(new[-1], old[-1], ("base", "sign"))
+    assert AltLabel.__match_args__ == ref.SeedAltLabel.__match_args__
+    _assert_round_trips(new[:40])
+
+
+def test_group_module_context_matches_reference():
+    args = [
+        (group, n, module, Fraction(twice, 2))
+        for group in ("S", "A")
+        for module in ("perm", "refl")
+        for n in range(1, 5)
+        for twice in range(7)
+    ]
+    new = [GroupModuleContext(*a) for a in args]
+    old = [ref.SeedGroupModuleContext(*a) for a in args]
+    _assert_same_records(
+        new, old, lambda c: (c.group, c.n, c.module, c.level, c.k, c.half, c.label_size)
+    )
+    keyword = [GroupModuleContext(group=g, n=n, module=m, level=lv) for g, n, m, lv in args]
+    assert keyword == new
+    bad = [
+        ("Q", 3, "perm", 1), ("S", 3, "x", 1), ("S", 0, "perm", 1), ("S", -2, "refl", 1),
+        ("A", 2.0, "perm", 1), ("S", "3", "perm", 1), ("S", 3, "perm", -1),
+        ("S", 3, "perm", Fraction(1, 3)), ("S", 3, "perm", "7/2"), ("S", 3, "perm", "x"),
+        ("Q", 0, "x", -1), ("S", 3, "perm", 2.5), ("S", True, "perm", 0),
+    ]
+    assert _all_outcomes(GroupModuleContext, bad) == _all_outcomes(
+        ref.SeedGroupModuleContext, bad
+    )
+    _assert_frozen_like_reference(new[-1], old[-1], ("group", "n", "module", "level"))
+    assert GroupModuleContext.__match_args__ == ref.SeedGroupModuleContext.__match_args__
+    _assert_round_trips(new)
