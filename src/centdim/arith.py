@@ -18,13 +18,11 @@ def binomial(n, k):
     return comb(n, k)
 
 
-# Grid spacing of the entries stirling2 warms. A call below a warmed grid
-# point descends at most 2 * _WARM_STEP rows; at two interpreter frames per
-# row that is 400 frames, inside the default recursion limit of 1000.
-_WARM_STEP = 100
-# True while an outermost stirling2 call runs, so the calls nested in it
-# recurse plainly. It only orders how the cache fills, never a value.
-_warming = False
+# _TABLE[t][e] = S2(t + e, t), filled bottom-up by the recurrence. Row t is
+# extended only as far as some call has needed, so row lengths never increase
+# with t, and the table holds exactly the cells a recursion from the
+# requested values would reach: at most t blocks, at most k - t extra elements.
+_TABLE = [[1]]
 
 
 @cache
@@ -34,31 +32,28 @@ def stirling2(k, t):
     Uses the recurrence S2(k, t) = t*S2(k-1, t) + S2(k-1, t-1) with
     S2(0, 0) = 1. Total: returns 0 whenever t < 0 or t > k.
 
-    The recursion has no depth limit. When an outermost call runs out of
-    stack, it warms the cache from the bottom up at the grid points
-    S2(k - a, t - b), with a and b multiples of _WARM_STEP and b <= a, and
-    tries again; from there no call descends more than 2 * _WARM_STEP rows
-    before it meets a cached entry. The plain recursion computes every grid
-    point too, so the cache ends up holding the same entries either way.
+    Values are read from a table filled bottom-up, so there is no recursion
+    and no depth limit. A miss extends only the rows that are too short,
+    from the lowest one up.
     """
-    global _warming
     if t < 0 or t > k:
         return 0
-    if k == 0:
-        return 1
-    if k <= _WARM_STEP or _warming:
-        return t * stirling2(k - 1, t) + stirling2(k - 1, t - 1)
-    _warming = True
-    try:
-        return t * stirling2(k - 1, t) + stirling2(k - 1, t - 1)
-    except RecursionError:
-        for j in range(k % _WARM_STEP or _WARM_STEP, k, _WARM_STEP):
-            for col in range(t, max(-1, t - (k - j) - 1), -_WARM_STEP):
-                if col <= j:
-                    stirling2(j, col)
-        return t * stirling2(k - 1, t) + stirling2(k - 1, t - 1)
-    finally:
-        _warming = False
+    e = k - t
+    while len(_TABLE) <= t:
+        _TABLE.append([1])
+    low = t
+    while low > 0 and len(_TABLE[low - 1]) <= e:
+        low -= 1
+    if low == 0:
+        _TABLE[0].extend([0] * (e + 1 - len(_TABLE[0])))
+        low = 1
+    for r in range(low, t + 1):
+        row, below = _TABLE[r], _TABLE[r - 1]
+        value = row[-1]
+        for x in range(len(row), e + 1):
+            value = r * value + below[x]
+            row.append(value)
+    return _TABLE[t][e]
 
 
 def bell(k):

@@ -103,13 +103,17 @@ def format_label(label):
     return format_partition(label)
 
 
-def parse_alt_label(text):
+def split_alt_sign(text):
+    """Split label text into the partition text and its trailing sign, or None."""
     text = text.strip()
-    sign = None
     if text and text[-1] in "+-":
-        sign = text[-1]
-        text = text[:-1]
-    return AltLabel(parse_partition(text), sign)
+        return text[:-1], text[-1]
+    return text, None
+
+
+def parse_alt_label(text):
+    body, sign = split_alt_sign(text)
+    return AltLabel(parse_partition(body), sign)
 
 
 def restrict_sym(lam):

@@ -30,7 +30,7 @@ from .branch import (
     restrict_sym,
     restrict_sym_to_alt,
 )
-from .dims import check_level, format_level
+from .dims import check_level, check_scale, format_level
 from .young import partition_sort_key
 
 
@@ -115,6 +115,7 @@ def build_diagram(group, n, module, max_level):
     if n < minimum:
         raise ValueError(f"group {group} needs n >= {minimum}, got {n}")
     max_level = check_level(max_level)
+    check_scale(max_level, n)
 
     if group == "S":
         root = (n,)

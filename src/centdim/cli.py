@@ -73,14 +73,10 @@ def _parse_label(group, text):
 
     if group == "S":
         return _usage_parse(parse_partition, text, "label")
-    sign = None
-    body = text.strip()
-    if body and body[-1] in "+-":
-        sign = body[-1]
-        body = body[:-1]
-    base = _usage_parse(parse_partition, body, "label")
-    from .branch import AltLabel
+    from .branch import AltLabel, split_alt_sign
 
+    body, sign = split_alt_sign(text)
+    base = _usage_parse(parse_partition, body, "label")
     # canonicality and sign rules are semantic, not syntactic
     return AltLabel(base, sign)
 

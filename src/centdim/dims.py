@@ -47,6 +47,27 @@ def check_level(level):
     return level
 
 
+# Scale caps, checked before any work. A level-k block with labels of size m
+# reads a Stirling table of about k * min(k, m) cells, each of up to
+# k * log2(m) bits; the tower's subscripts are the same numbers.
+MAX_LEVEL = 10_000
+MAX_STIRLING_CELLS = 500_000
+
+
+def check_scale(level, size):
+    """Refuse a level above MAX_LEVEL, or one whose Stirling table for labels
+    of the given size has more than MAX_STIRLING_CELLS cells."""
+    k = level_floor(level)
+    if k > MAX_LEVEL:
+        raise ValueError(f"level must be at most {MAX_LEVEL}")
+    cells = k * min(k, size)
+    if cells > MAX_STIRLING_CELLS:
+        raise ValueError(
+            f"level {k} with labels of size {size} needs {cells} Stirling "
+            f"numbers, above the cap of {MAX_STIRLING_CELLS}"
+        )
+
+
 def format_level(level):
     return str(Fraction(level))
 
@@ -80,6 +101,7 @@ class GroupModuleContext:
         set_field(self, "n", n)
         set_field(self, "module", module)
         set_field(self, "level", check_level(level))
+        check_scale(self.level, self.label_size)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -11,19 +11,23 @@
   block_dimension dispatch table. The package computes them with one kernel.
 * AltLabel and GroupModuleContext as frozen dataclasses. The package writes
   them as plain classes, so that importing it does not load dataclasses.
+* stirling2 as it was, a cached recursion that warms a grid of entries when
+  it runs out of stack. The package reads a table filled bottom-up. The
+  frozen dim_* families use this copy.
 
 These copies keep the earlier code exactly as it was, so the tests can
 demand byte-identical rows, edges, exports, pairs, walks, dimensions and
 error messages from the rewrites. Only code that the rewrites left alone
-(the other branching rules, the shape predicates, Stirling and Kostka
+(binomials, the other branching rules, the shape predicates, Kostka
 numbers) is imported from the package. Do not edit.
 """
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
-from centdim.arith import binomial, stirling2
+from centdim.arith import binomial
 from centdim.bijection import tableau_shape
 from centdim.bratteli import BratteliDiagram, _sort_key, format_label
 from centdim.branch import (
@@ -329,6 +333,32 @@ def induce_alt(label, n):
     out = [cand for cand in candidates if label in restrict_alt(cand)]
     out.sort(key=AltLabel.sort_key)
     return out
+
+
+_WARM_STEP = 100
+_warming = False
+
+
+@cache
+def stirling2(k, t):
+    global _warming
+    if t < 0 or t > k:
+        return 0
+    if k == 0:
+        return 1
+    if k <= _WARM_STEP or _warming:
+        return t * stirling2(k - 1, t) + stirling2(k - 1, t - 1)
+    _warming = True
+    try:
+        return t * stirling2(k - 1, t) + stirling2(k - 1, t - 1)
+    except RecursionError:
+        for j in range(k % _WARM_STEP or _WARM_STEP, k, _WARM_STEP):
+            for col in range(t, max(-1, t - (k - j) - 1), -_WARM_STEP):
+                if col <= j:
+                    stirling2(j, col)
+        return t * stirling2(k - 1, t) + stirling2(k - 1, t - 1)
+    finally:
+        _warming = False
 
 
 def dim_z(n, k, lam):

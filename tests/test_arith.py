@@ -1,6 +1,16 @@
-import pytest
-from hypothesis import given, strategies as st
+import importlib.util
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+import seed_reference as ref
+from hypothesis import given, settings, strategies as st
+
+import centdim
+from centdim import arith
 from centdim.arith import (
     bell,
     bell_restricted,
@@ -141,3 +151,87 @@ def test_stirling2_extremes(k):
     assert stirling2(k, 1) == (1 if k >= 1 else 0)
     if k >= 2:
         assert stirling2(k, k - 1) == binomial(k, 2)
+
+
+def fresh_arith():
+    """A new copy of centdim.arith, with an empty Stirling table and cache."""
+    spec = importlib.util.spec_from_file_location("fresh_arith", arith.__file__)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@st.composite
+def stirling_index(draw):
+    k = draw(st.integers(min_value=0, max_value=150))
+    t = draw(st.one_of(
+        st.integers(min_value=0, max_value=k),
+        st.integers(min_value=max(k - 3, -3), max_value=k + 3),
+        st.integers(min_value=-3, max_value=3),
+    ))
+    return k, t
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(stirling_index(), min_size=1, max_size=25))
+def test_stirling2_table_is_independent_of_call_order(calls):
+    table = fresh_arith()
+    for k, t in calls:
+        assert table.stirling2(k, t) == ref.stirling2(k, t), (k, t)
+
+
+def run_python(code):
+    """Run code in a fresh interpreter that imports the package under test."""
+    src = Path(centdim.__file__).resolve().parent.parent
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+
+
+def explicit_stirling2(k, t):
+    """S2(k, t) = sum_j (-1)^(t-j) C(t, j) j^k / t!, with no table at all."""
+    total = sum((-1) ** (t - j) * binomial(t, j) * j**k for j in range(t + 1))
+    return total // math.factorial(t)
+
+
+def bell_triangle(k):
+    """B(k) from Aitken's array: each row starts with the last entry of the
+    row before, and each entry adds its left neighbour and the one above."""
+    row = [1]
+    for _ in range(k):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[0]
+
+
+def test_stirling2_needs_no_stack_in_a_fresh_process():
+    proc = run_python(
+        "import sys\n"
+        "from centdim.arith import bell, stirling2\n"
+        "sys.setrecursionlimit(60)\n"
+        "print(stirling2(5000, 7), stirling2(3000, 2999), bell(400))\n"
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.split() == [
+        str(explicit_stirling2(5000, 7)), str(3000 * 2999 // 2), str(bell_triangle(400)),
+    ]
+
+
+def test_stirling2_table_is_a_staircase_in_a_fresh_process():
+    # S2(3000, 2999) needs 2,999 rows of two cells; a full triangle of rows
+    # S2(k, 0..k) for k <= 3000 would hold about 4.5 million big integers
+    proc = run_python(
+        "import tracemalloc\n"
+        "from centdim.arith import stirling2\n"
+        "tracemalloc.start()\n"
+        "stirling2(3000, 2999)\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert int(proc.stdout) < 10 * 2**20

@@ -1,18 +1,22 @@
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import centdim
 from centdim import cli
 from centdim.cli import main
-from centdim.dims import GroupModuleContext, block_dimension
+from centdim.dims import MAX_LEVEL, MAX_STIRLING_CELLS, GroupModuleContext, block_dimension
 from centdim.oracle import multiplicity_oracle
+from centdim.young import format_partition, partitions_of
 
 
 def run(capsys, *argv):
@@ -337,8 +341,124 @@ def test_library_names_are_looked_up_at_call_time(capsys, monkeypatch):
 
 def test_internal_error_in_a_fresh_process():
     # num_skew_syt still recurses once per cell; the guard reports it in one line
-    proc = run_process("dim", "--group", "S", "--module", "perm", "--n", "1200",
-                       "--k", "1500", "--lambda", "1200")
+    proc = run_process("dim", "--group", "S", "--module", "perm", "--n", "700",
+                       "--k", "700", "--lambda", "700")
     assert (proc.returncode, proc.stdout) == (4, "")
     assert proc.stderr.startswith("error: internal: RecursionError: ")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dim", "--group", "S", "--module", "perm", "--n", "5", "--k", "1e400",
+      "--lambda", "5"], "level must be at most 10000"),
+    (["dim", "--group", "S", "--module", "perm", "--n", "5", "--k", "1e6",
+      "--lambda", "5"], "level must be at most 10000"),
+    (["decompose", "--group", "S", "--module", "refl", "--n", "4", "--k", "1e400"],
+     "level must be at most 10000"),
+    (["bratteli", "--pair", "S:4", "--module", "perm", "--levels", "1e400"],
+     "level must be at most 10000"),
+    (["dim", "--group", "S", "--module", "perm", "--n", "1200", "--k", "1500",
+      "--lambda", "1200"], "level 1500 with labels of size 1200 needs 1800000 "
+     "Stirling numbers, above the cap of 500000"),
+    (["bratteli", "--pair", "S:800", "--module", "refl", "--levels", "1000"],
+     "level 1000 with labels of size 800 needs 800000 Stirling numbers, above "
+     "the cap of 500000"),
+])
+def test_scale_caps_exit_3_at_once(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+    assert time.perf_counter() - start < 2
+
+
+def test_scale_caps_admit_their_bounds():
+    # the caps refuse only what lies beyond them: a half level counts its floor
+    assert (MAX_LEVEL, MAX_STIRLING_CELLS) == (10_000, 500_000)
+    GroupModuleContext("A", 3, "refl", Fraction(2 * MAX_LEVEL + 1, 2))
+    GroupModuleContext("S", 50, "perm", Fraction(MAX_LEVEL))
+    GroupModuleContext("S", 701, "perm", Fraction(1401, 2))
+    with pytest.raises(ValueError, match="at most"):
+        GroupModuleContext("S", 3, "perm", Fraction(MAX_LEVEL + 1))
+    with pytest.raises(ValueError, match="Stirling numbers"):
+        GroupModuleContext("S", 51, "perm", Fraction(MAX_LEVEL))
+    with pytest.raises(ValueError, match="Stirling numbers"):
+        GroupModuleContext("S", 709, "refl", Fraction(708))
+
+
+# The deepest level the fuzz draws per command and module: the reflection
+# transform costs the square of the level and the tower grows with it, so
+# those draws stop earlier to keep the whole test well under ten seconds.
+FUZZ_DEPTH = {
+    ("dim", "perm"): 2000,
+    ("dim", "refl"): 400,
+    ("decompose", "perm"): 2000,
+    ("decompose", "refl"): 100,
+    ("bratteli", "perm"): 60,
+    ("bratteli", "refl"): 60,
+}
+# Text that is not a value: argparse would read a leading "-" as a flag.
+JUNK = st.text(alphabet="0123456789,./e+x -", max_size=6).filter(
+    lambda text: not text.startswith("-")
+)
+
+
+def halves(low, high):
+    return st.integers(2 * low, 2 * high).map(lambda h: str(Fraction(h, 2)))
+
+
+def label_size(n, level):
+    """The size of a valid label for the drawn level text, or n if unreadable."""
+    try:
+        return n - 1 if Fraction(level).denominator == 2 else n
+    except (ValueError, ZeroDivisionError):
+        return n
+
+
+@st.composite
+def fuzz_argv(draw):
+    """Argv for dim, decompose or bratteli: mostly valid, and otherwise off in
+    one or more values (an unreadable or oversized level, a label of the
+    wrong size or sign, a bad pair, text that is not a value at all)."""
+    command = draw(st.sampled_from(["dim", "decompose", "bratteli"]))
+    group = draw(st.sampled_from("SA"))
+    module = draw(st.sampled_from(["perm", "refl"]))
+    n = draw(st.sampled_from([*range(1, 10), *range(1, 10), 0, -1]))
+    kind = draw(st.sampled_from(["small", "small", "deep", "deep", "beyond", "bad"]))
+    level = draw({
+        "small": halves(0, 12),
+        "deep": halves(13, FUZZ_DEPTH[command, module]),
+        "beyond": st.sampled_from(["1e400", str(10**6), "10001", "20003/2"]),
+        "bad": st.one_of(st.sampled_from(["x", "1/3", "-1", "", "2.25", "inf"]), JUNK),
+    }[kind])
+    if command == "bratteli":
+        pair = draw(st.sampled_from([f"{group}:{n}"] * 3 + ["Q:4", "S:x", "S4", "A:"]))
+        fmt = draw(st.sampled_from(["text", "json", "dot"]))
+        return ["bratteli", "--pair", pair, "--module", module, "--levels", level,
+                "--format", fmt]
+    argv = [command, "--group", group, "--module", module, "--n", str(n), "--k", level]
+    if command == "decompose":
+        return argv + ["--format", draw(st.sampled_from(["text", "json", "csv"]))]
+    size = max(label_size(n, level) + draw(st.sampled_from([0, 0, 0, 1, -1])), 0)
+    shape = format_partition(draw(st.sampled_from(list(partitions_of(size)))))
+    sign = draw(st.sampled_from(["", "", "+", "-"])) if group == "A" else ""
+    label = draw(JUNK) if draw(st.integers(0, 3)) == 0 else shape + sign
+    return argv + ["--lambda", label]
+
+
+def run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(fuzz_argv())
+def test_every_argv_lands_on_a_documented_exit(argv):
+    code, out, err = run_quietly(argv)
+    assert code in (0, 2, 3), (argv, err)
+    if code:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+    else:
+        assert err == "" and out, argv
+    assert run_quietly(argv) == (code, out, err), argv
