@@ -9,6 +9,10 @@ though the unique partition is self-conjugate); such labels stay unsigned.
 
 AltLabel carries (base, sign) with base always the canonical representative.
 Text form appends the sign to the partition: "2,2+", "3,1,1-", "4".
+
+The A rules are S rules folded once (_fold): each S-shape maps to A by
+restrict_sym_to_alt, each label is kept once, and a signed label keeps only
+its own half of a split one. alt_labels folds the partitions of m.
 """
 
 from .young import (
@@ -157,63 +161,38 @@ def restrict_sym_to_alt(lam):
     return [AltLabel(canonical_base(lam))]
 
 
-def restrict_alt(label):
-    """Restriction of an A_n irreducible to A_{n-1}.
+def _fold(shapes, sign=None):
+    """The A labels that the given S-shapes restrict to, each once, in
+    display order. With a sign, a split label keeps only that half."""
+    out = {}
+    for shape in shapes:
+        for label in restrict_sym_to_alt(shape):
+            if sign is None or label.sign in (None, sign):
+                out[label] = None
+    return sorted(out, key=AltLabel.sort_key)
 
-    Corners of the base are folded under conjugation: a conjugate pair of
-    corners contributes one unsigned label, a self-conjugate corner either
-    both signs (when the input is unsigned) or the matching sign (when the
-    input is signed). Multiplicity-free in all cases.
+
+def restrict_alt(label):
+    """Restriction of an A_n irreducible to A_{n-1}: the base's S-restriction
+    folded. A conjugate pair of corners gives one unsigned label, and a
+    self-conjugate corner both signs, or only the input's sign when it has
+    one. Multiplicity-free in all cases.
     """
     if label.size < 2:
         raise ValueError(f"cannot restrict {label}: the subgroup is trivial")
-    out = []
-    seen = set()
-    for mu in restrict_sym(label.base):
-        rep = canonical_base(mu)
-        if rep in seen:
-            continue
-        seen.add(rep)
-        if splits_over_alt(mu):
-            if label.sign is None:
-                out.append(AltLabel(mu, "+"))
-                out.append(AltLabel(mu, "-"))
-            else:
-                out.append(AltLabel(mu, label.sign))
-        else:
-            out.append(AltLabel(rep))
-    out.sort(key=AltLabel.sort_key)
-    return out
+    return _fold(restrict_sym(label.base), label.sign)
 
 
 def induce_alt(label, n):
-    """Induction of an A_{n-1} irreducible to A_n.
-
-    Candidates come from adding a cell to the base (adding one to its
-    conjugate gives the conjugate shapes, which fold to the same labels);
-    a candidate is kept exactly when the given label appears in its
-    restriction, which keeps induction adjoint to restrict_alt by
-    construction.
+    """Induction of an A_{n-1} irreducible to A_n: the base's S-induction
+    folded (inducing the conjugate gives the conjugate shapes, which fold
+    the same). A signed label reaches only its own half of a split shape.
     """
     if label.size != n - 1:
         raise ValueError(f"expected a label of size {n - 1}, got {label}")
-    candidates = []
-    for bigger in induce_sym(label.base, n):
-        for cand in restrict_sym_to_alt(bigger):
-            if cand not in candidates:
-                candidates.append(cand)
-    out = [cand for cand in candidates if label in restrict_alt(cand)]
-    out.sort(key=AltLabel.sort_key)
-    return out
+    return _fold(induce_sym(label.base, n), label.sign)
 
 
 def alt_labels(m):
     """All irreducible labels of A_m, in display order."""
-    out = []
-    for lam in partitions_of(m):
-        if splits_over_alt(lam):
-            out.append(AltLabel(lam, "+"))
-            out.append(AltLabel(lam, "-"))
-        elif lam == canonical_base(lam):
-            out.append(AltLabel(lam))
-    return out
+    return _fold(partitions_of(m))

@@ -264,7 +264,7 @@ def main(argv=None):
     except _LiteralError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an over-cap level literal
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # SystemExit and KeyboardInterrupt pass through

@@ -14,6 +14,7 @@ Levels are fractions.Fraction values with denominator 1 or 2.
 """
 
 import math
+import re
 from fractions import Fraction
 
 from .arith import bell_restricted, binomial, stirling2
@@ -31,12 +32,24 @@ GROUPS = ("S", "A")
 MODULES = ("perm", "refl")
 
 
+_EXPONENT = re.compile(r"(.*)e([-+]?\d+(?:_\d+)*)", re.IGNORECASE)
+
+
 def parse_level(text):
-    """Read a level: "3", "7/2", or "3.5" (halves only)."""
+    """Read a level: "3", "7/2", or "3.5" (halves only). A positive literal
+    whose exponent is too long to expand raises OverflowError."""
+    text = str(text).strip()
     try:
-        level = Fraction(str(text).strip())
+        match = _EXPONENT.fullmatch(text)
+        exponent = int(match[2]) if match else 0
+        huge = abs(exponent) > len(text) + 1000  # nonzero: > 10**1000 or < 10**-1000
+        level = Fraction(match[1] + "e0" if huge else text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"cannot parse level {text!r}") from None
+    if huge and level:
+        if exponent > 0 and level > 0:
+            raise OverflowError(f"level must be at most {MAX_LEVEL}")
+        raise ValueError(f"level must be a nonnegative half-integer, got {text}")
     return check_level(level)
 
 
@@ -169,9 +182,11 @@ def _alternating_transform(k, value):
     Moves permutation-module data to the reflection module: M = trivial + R,
     so a value for R^k is this transform of the values for M^j.
     """
-    return sum(
-        (-1) ** (k - j) * binomial(k, j) * value(j) for j in range(k + 1)
-    )
+    total, coeff = 0, 1  # coeff is C(k, j), stepped exactly
+    for j in range(k + 1):
+        total += (-1) ** (k - j) * coeff * value(j)
+        coeff = coeff * (k - j) // (j + 1)
+    return total
 
 
 def block_dimension(ctx, label):

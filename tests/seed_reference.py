@@ -6,7 +6,10 @@
 * is_semistandard as it was, with generator passes.
 * enumerate_paths as it was, extending paths to every vertex of every row.
   The package's walks only the target's ancestors.
-* induce_alt as it was, inducing both the base and its conjugate.
+* induce_alt as it was, inducing both the base and its conjugate, and
+  restrict_alt and alt_labels as they were, each folding S-shapes under
+  conjugation in its own loop. The package folds once, in branch._fold.
+  The frozen tower builder and induce_alt use this restrict_alt.
 * The eight hand-written dim_* families with _fold_alt, _quasi and the
   block_dimension dispatch table. The package computes them with one kernel.
 * AltLabel and GroupModuleContext as frozen dataclasses. The package writes
@@ -14,6 +17,8 @@
 * stirling2 as it was, a cached recursion that warms a grid of entries when
   it runs out of stack. The package reads a table filled bottom-up. The
   frozen dim_* families use this copy.
+* _alternating_transform as it was, with one binomial call per term. The
+  package steps the binomials.
 
 These copies keep the earlier code exactly as it was, so the tests can
 demand byte-identical rows, edges, exports, pairs, walks, dimensions and
@@ -36,7 +41,6 @@ from centdim.branch import (
     canonical_base,
     format_alt_label,
     induce_sym,
-    restrict_alt,
     restrict_sym,
     restrict_sym_to_alt,
     splits_over_alt,
@@ -48,6 +52,7 @@ from centdim.young import (
     is_partition,
     kostka_hook_type,
     partition_sort_key,
+    partitions_of,
 )
 
 
@@ -333,6 +338,58 @@ def induce_alt(label, n):
     out = [cand for cand in candidates if label in restrict_alt(cand)]
     out.sort(key=AltLabel.sort_key)
     return out
+
+
+def restrict_alt(label):
+    """Restriction of an A_n irreducible to A_{n-1}.
+
+    Corners of the base are folded under conjugation: a conjugate pair of
+    corners contributes one unsigned label, a self-conjugate corner either
+    both signs (when the input is unsigned) or the matching sign (when the
+    input is signed). Multiplicity-free in all cases.
+    """
+    if label.size < 2:
+        raise ValueError(f"cannot restrict {label}: the subgroup is trivial")
+    out = []
+    seen = set()
+    for mu in restrict_sym(label.base):
+        rep = canonical_base(mu)
+        if rep in seen:
+            continue
+        seen.add(rep)
+        if splits_over_alt(mu):
+            if label.sign is None:
+                out.append(AltLabel(mu, "+"))
+                out.append(AltLabel(mu, "-"))
+            else:
+                out.append(AltLabel(mu, label.sign))
+        else:
+            out.append(AltLabel(rep))
+    out.sort(key=AltLabel.sort_key)
+    return out
+
+
+def alt_labels(m):
+    """All irreducible labels of A_m, in display order."""
+    out = []
+    for lam in partitions_of(m):
+        if splits_over_alt(lam):
+            out.append(AltLabel(lam, "+"))
+            out.append(AltLabel(lam, "-"))
+        elif lam == canonical_base(lam):
+            out.append(AltLabel(lam))
+    return out
+
+
+def _alternating_transform(k, value):
+    """sum_j (-1)^(k-j) C(k, j) * value(j), j ascending.
+
+    Moves permutation-module data to the reflection module: M = trivial + R,
+    so a value for R^k is this transform of the values for M^j.
+    """
+    return sum(
+        (-1) ** (k - j) * binomial(k, j) * value(j) for j in range(k + 1)
+    )
 
 
 _WARM_STEP = 100

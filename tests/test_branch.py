@@ -126,10 +126,14 @@ def test_induce_alt_examples():
     ]
     with pytest.raises(ValueError):
         induce_alt(AltLabel((3,)), 5)
+    # A_0 and A_1 are both trivial: the one label induces to the one label
+    assert induce_alt(AltLabel(()), 1) == [AltLabel((1,))]
+    assert induce_alt(AltLabel((1,)), 2) == [AltLabel((2,))]
 
 
 def test_alt_reciprocity():
-    for n in range(3, 8):
+    # restriction and induction are separate folds, so adjointness is a check
+    for n in range(2, 11):
         for label in alt_labels(n - 1):
             for parent in alt_labels(n):
                 assert (label in restrict_alt(parent)) == (

@@ -13,8 +13,16 @@ from hypothesis import given, settings, strategies as st
 
 import centdim
 from centdim import cli
+from centdim.bijection import path_to_pair
+from centdim.branch import induce_sym, restrict_sym
 from centdim.cli import main
-from centdim.dims import MAX_LEVEL, MAX_STIRLING_CELLS, GroupModuleContext, block_dimension
+from centdim.dims import (
+    MAX_LEVEL,
+    MAX_STIRLING_CELLS,
+    GroupModuleContext,
+    block_dimension,
+    parse_level,
+)
 from centdim.oracle import multiplicity_oracle
 from centdim.young import format_partition, partitions_of
 
@@ -363,11 +371,28 @@ def test_internal_error_in_a_fresh_process():
     (["bratteli", "--pair", "S:800", "--module", "refl", "--levels", "1000"],
      "level 1000 with labels of size 800 needs 800000 Stirling numbers, above "
      "the cap of 500000"),
+    (["dim", "--group", "S", "--module", "perm", "--n", "5", "--k", "1e30000000",
+      "--lambda", "5"], "level must be at most 10000"),
+    (["bratteli", "--pair", "S:4", "--module", "perm", "--levels", "1e30000000"],
+     "level must be at most 10000"),
 ])
 def test_scale_caps_exit_3_at_once(capsys, argv, message):
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (3, "", f"error: {message}\n")
+    assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize("level, line", [
+    ("1e-5000", "error: bad level: level must be a nonnegative half-integer, got 1e-5000"),
+    ("x", "error: bad level: cannot parse level 'x'"),
+    ("1/3", "error: bad level: level must be a nonnegative half-integer, got 1/3"),
+])
+def test_bad_levels_exit_2_at_once(capsys, level, line):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "dim", "--group", "S", "--module", "perm", "--n", "5",
+                         "--k", level, "--lambda", "5")
+    assert (code, out, err) == (2, "", line + "\n")
     assert time.perf_counter() - start < 2
 
 
@@ -409,17 +434,66 @@ def halves(low, high):
 def label_size(n, level):
     """The size of a valid label for the drawn level text, or n if unreadable."""
     try:
-        return n - 1 if Fraction(level).denominator == 2 else n
-    except (ValueError, ZeroDivisionError):
+        return n - 1 if parse_level(level).denominator == 2 else n
+    except (ValueError, OverflowError):
         return n
 
 
 @st.composite
+def walk(draw, n):
+    """A walk down the permutation tower of S_n from (n,), as JSON lists."""
+    shapes = [(n,)]
+    for step in range(2 * draw(st.integers(0, 5))):
+        moves = restrict_sym(shapes[-1]) if step % 2 == 0 else induce_sym(shapes[-1], n)
+        shapes.append(draw(st.sampled_from(moves)))
+    return [list(shape) for shape in shapes]
+
+
+def spoil(draw, rows):
+    """rows, or rows with one entry changed, one row dropped or one added."""
+    how = draw(st.sampled_from(["keep", "keep", "entry", "drop", "add"]))
+    rows = [list(row) for row in rows]
+    if how == "entry" and any(rows):
+        row = draw(st.sampled_from([row for row in rows if row]))
+        row[draw(st.integers(0, len(row) - 1))] = draw(
+            st.one_of(st.integers(-1, 9), st.sampled_from([2.5, True, "1", None]))
+        )
+    elif how == "drop" and rows:
+        rows.pop(draw(st.integers(0, len(rows) - 1)))
+    elif how == "add":
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.lists(st.integers(0, 9), max_size=3)))
+    return rows
+
+
+@st.composite
+def bijection_argv(draw):
+    """A walk or its pair, right or spoilt, for n up to 8; or junk input."""
+    n = draw(st.integers(-1, 8))
+    path = draw(walk(max(n, 1)))
+    direction = draw(st.sampled_from(["to-pair", "to-path"]))
+    if direction == "to-pair":
+        doc = {"path": spoil(draw, path)}
+    else:
+        blocks, tableau = path_to_pair([tuple(shape) for shape in path], max(n, 1))
+        doc = {"setPartition": spoil(draw, blocks), "tableau": spoil(draw, tableau)}
+    text = draw(st.sampled_from([json.dumps(doc)] * 4 + ["{", "[]", '{"path": 3}']))
+    return ["bijection", "--n", str(n), "--direction", direction, "--input", text]
+
+
+@st.composite
 def fuzz_argv(draw):
-    """Argv for dim, decompose or bratteli: mostly valid, and otherwise off in
-    one or more values (an unreadable or oversized level, a label of the
-    wrong size or sign, a bad pair, text that is not a value at all)."""
-    command = draw(st.sampled_from(["dim", "decompose", "bratteli"]))
+    """Argv for every subcommand: mostly valid, and otherwise off in one or
+    more values (an unreadable or oversized level, a label of the wrong size
+    or sign, a bad pair, a spoilt walk or pair, text that is not a value at
+    all, a verify window past the oracle's reach). Sizes stay small enough
+    for each example to finish in well under a second."""
+    command = draw(st.sampled_from(["dim", "decompose", "bratteli", "bijection", "verify"]))
+    if command == "bijection":
+        return draw(bijection_argv())
+    if command == "verify":
+        return ["verify", "--scope", draw(st.sampled_from(["all", "golden", "oracle"])),
+                "--n-max", str(draw(st.integers(-1, 11))),
+                "--k-max", str(draw(st.integers(-1, 3)))]
     group = draw(st.sampled_from("SA"))
     module = draw(st.sampled_from(["perm", "refl"]))
     n = draw(st.sampled_from([*range(1, 10), *range(1, 10), 0, -1]))
@@ -427,8 +501,8 @@ def fuzz_argv(draw):
     level = draw({
         "small": halves(0, 12),
         "deep": halves(13, FUZZ_DEPTH[command, module]),
-        "beyond": st.sampled_from(["1e400", str(10**6), "10001", "20003/2"]),
-        "bad": st.one_of(st.sampled_from(["x", "1/3", "-1", "", "2.25", "inf"]), JUNK),
+        "beyond": st.sampled_from(["1e400", str(10**6), "10001", "20003/2", "1e30000000"]),
+        "bad": st.one_of(st.sampled_from(["x", "1/3", "-1", "", "2.25", "inf", "1e-5000"]), JUNK),
     }[kind])
     if command == "bratteli":
         pair = draw(st.sampled_from([f"{group}:{n}"] * 3 + ["Q:4", "S:x", "S4", "A:"]))
@@ -452,7 +526,7 @@ def run_quietly(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(fuzz_argv())
 def test_every_argv_lands_on_a_documented_exit(argv):
     code, out, err = run_quietly(argv)

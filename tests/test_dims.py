@@ -46,6 +46,20 @@ def test_level_parsing():
         parse_level("-1")
     with pytest.raises(ValueError):
         parse_level("x")
+    # exponents up to a thousand past the text's length are expanded exactly
+    assert parse_level("1e400") == 10**400
+    assert parse_level("25e-1") == Fraction(5, 2)
+    assert parse_level("0.5e1_0") == 5 * 10**9
+    # longer ones are judged from the mantissa, at once
+    assert parse_level("0e30000000") == parse_level("-0.0e-30000000") == 0
+    with pytest.raises(OverflowError, match="^level must be at most 10000$"):
+        parse_level("1e30000000")
+    for text in ("1e-5000", "-1e30000000", "-2.5e-30000000"):
+        with pytest.raises(ValueError, match=f"^level must be a nonnegative half-integer, got {text}$"):
+            parse_level(text)
+    for text in ("1/2e30000000", "e30000000", "1 e30000000", "1e3e30000000"):
+        with pytest.raises(ValueError, match="^cannot parse level"):
+            parse_level(text)
 
 
 def test_context_validation():

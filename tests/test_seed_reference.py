@@ -1,8 +1,9 @@
 """Rewritten code against frozen copies of what it replaced
 (seed_reference.py): the one-pass tower builder and walk replay, the pruned
-path enumeration, induce_alt, the dimension kernel and the label classes.
-Same rows, edges and exports, same paths, pairs and walks, same inductions
-and dimensions, same label behaviour, same error messages."""
+path enumeration, the folded alternating branching rules, the dimension
+kernel with its stepped binomials and the label classes. Same rows, edges
+and exports, same paths, pairs and walks, same branchings and dimensions,
+same label behaviour, same error messages."""
 
 import ast
 import copy
@@ -22,7 +23,7 @@ from hypothesis import given, strategies as st
 
 import centdim
 from centdim import bijection, dims
-from centdim.branch import AltLabel, alt_labels, induce_alt
+from centdim.branch import AltLabel, alt_labels, induce_alt, restrict_alt
 from centdim.bratteli import build_diagram, enumerate_paths, export
 from centdim.dims import GroupModuleContext, decompose, labels_for
 from centdim.young import partitions_of
@@ -196,6 +197,39 @@ def test_induce_alt_matches_reference():
             assert induce_alt(label, m + 1) == ref.induce_alt(label, m + 1), label
     for label, n in ((AltLabel((2, 1), "+"), 3), (AltLabel((3,)), 5)):
         assert outcome(induce_alt, label, n) == outcome(ref.induce_alt, label, n)
+
+
+def test_alt_fold_matches_reference():
+    for m in range(13):
+        labels = alt_labels(m)
+        assert labels == ref.alt_labels(m), m
+        for label in labels:
+            assert outcome(restrict_alt, label) == outcome(ref.restrict_alt, label), label
+            for n in (m, m + 2):
+                assert outcome(induce_alt, label, n) == outcome(ref.induce_alt, label, n)
+    # the one change: inducing from A_0 used to restrict A_1, which has no subgroup
+    assert outcome(ref.induce_alt, AltLabel(()), 1) == (
+        "ValueError", "cannot restrict 1: the subgroup is trivial"
+    )
+
+
+def test_stepped_binomials_match_reference(monkeypatch):
+    def values():
+        for group in ("S", "A"):
+            for n in range(1, 6):
+                for twice in range(81):
+                    ctx = GroupModuleContext(group, n, "refl", Fraction(twice, 2))
+                    yield dims.dim_z_algebra(ctx)
+                    for label in labels_for(ctx):
+                        yield dims.block_dimension(ctx, label)
+        for k in range(41):
+            for size in range(min(k, 5) + 1):
+                for nu in partitions_of(size):
+                    yield dims.dim_qp_irr(k, nu)
+
+    stepped = list(values())
+    monkeypatch.setattr(dims, "_alternating_transform", ref._alternating_transform)
+    assert stepped == list(values())
 
 
 FAMILIES = [
