@@ -18,11 +18,36 @@ def binomial(n, k):
     return comb(n, k)
 
 
-# _TABLE[t][e] = S2(t + e, t), filled bottom-up by the recurrence. Row t is
-# extended only as far as some call has needed, so row lengths never increase
-# with t, and the table holds exactly the cells a recursion from the
-# requested values would reach: at most t blocks, at most k - t extra elements.
+# One staircase table per shift c: table[t][e] = W(t + e, t) for
+# W(k, t) = (t + c) W(k - 1, t) + W(k - 1, t - 1), W(0, 0) = 1, filled
+# bottom-up. Row t grows only as far as some call has needed, so row lengths
+# never increase with t: a table holds exactly the cells a recursion from the
+# requested values would reach (at most t blocks, at most k - t extras).
 _TABLE = [[1]]
+_SIGNED_TABLE = [[1]]
+
+
+def _staircase(table, c, k, t):
+    """W(k, t) read from table, 0 whenever t < 0 or t > k. A miss extends
+    only the rows that are too short, from the lowest one up."""
+    if t < 0 or t > k:
+        return 0
+    e = k - t
+    while len(table) <= t:
+        table.append([1])
+    low = t
+    while low > 0 and len(table[low - 1]) <= e:
+        low -= 1
+    if low == 0:
+        table[0].extend(c**x for x in range(len(table[0]), e + 1))
+        low = 1
+    for r in range(low, t + 1):
+        row, below = table[r], table[r - 1]
+        value = row[-1]
+        for x in range(len(row), e + 1):
+            value = (r + c) * value + below[x]
+            row.append(value)
+    return table[t][e]
 
 
 @cache
@@ -30,30 +55,19 @@ def stirling2(k, t):
     """Stirling number of the second kind: partitions of a k-set into t blocks.
 
     Uses the recurrence S2(k, t) = t*S2(k-1, t) + S2(k-1, t-1) with
-    S2(0, 0) = 1. Total: returns 0 whenever t < 0 or t > k.
-
-    Values are read from a table filled bottom-up, so there is no recursion
-    and no depth limit. A miss extends only the rows that are too short,
-    from the lowest one up.
+    S2(0, 0) = 1. Total: returns 0 whenever t < 0 or t > k. Values are read
+    from a table filled bottom-up, so there is no recursion and no depth
+    limit.
     """
-    if t < 0 or t > k:
-        return 0
-    e = k - t
-    while len(_TABLE) <= t:
-        _TABLE.append([1])
-    low = t
-    while low > 0 and len(_TABLE[low - 1]) <= e:
-        low -= 1
-    if low == 0:
-        _TABLE[0].extend([0] * (e + 1 - len(_TABLE[0])))
-        low = 1
-    for r in range(low, t + 1):
-        row, below = _TABLE[r], _TABLE[r - 1]
-        value = row[-1]
-        for x in range(len(row), e + 1):
-            value = r * value + below[x]
-            row.append(value)
-    return _TABLE[t][e]
+    return _staircase(_TABLE, 0, k, t)
+
+
+@cache
+def signed_stirling2(k, t):
+    """sum_j (-1)^(k-j) C(k, j) S2(j, t), from the recurrence with c = -1,
+    so W(k, 0) = (-1)^k. Summed over t it counts the singleton-free set
+    partitions of a k-set. Total and table-backed like stirling2."""
+    return _staircase(_SIGNED_TABLE, -1, k, t)
 
 
 def bell(k):

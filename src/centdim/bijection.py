@@ -20,7 +20,7 @@ finding blocks by their current maximum, so a walk of length 2k costs
 O(k) row operations after that single validating pass.
 
 Tableaux are tuples of tuples of ints; set partitions are tuples of tuples,
-blocks ordered by minimum ("1,3|2" in text form).
+blocks ordered by minimum.
 """
 
 from bisect import bisect_left, bisect_right
@@ -259,19 +259,3 @@ def pair_to_path(blocks, tableau, n):
         raise RuntimeError("reverse replay did not end at the one-row zero tableau")
     return tuple(reversed(shapes))
 
-
-def format_set_partition(blocks):
-    return "|".join(",".join(str(x) for x in b) for b in blocks) if blocks else ""
-
-
-def parse_set_partition(text):
-    text = text.strip()
-    if not text:
-        return ()
-    try:
-        blocks = tuple(
-            tuple(int(x) for x in chunk.split(",")) for chunk in text.split("|")
-        )
-    except ValueError:
-        raise ValueError(f"cannot parse set partition {text!r}") from None
-    return tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))

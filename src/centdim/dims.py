@@ -4,11 +4,11 @@ The permutation module M of S_n on n letters has centralizer algebras
 End(M^k) whose irreducible blocks are indexed by partitions of n; half
 levels k+1/2 restrict the action to S_{n-1} and are indexed by partitions
 of n-1. One kernel, block_dimension, computes every block: a finite sum of
-Stirling numbers against Kostka numbers of hook type, with the Stirling
-indices shifted by one on half levels. Two transforms give the other cases:
-A_n folds each label with its conjugate, and the reflection module is the
-alternating binomial transform of the permutation module over lower levels.
-The eight dim_* families are that kernel at a fixed (group, module, half).
+Stirling-type weights against Kostka numbers of hook type. A_n folds each
+label with its conjugate. The reflection module R needs no second
+algorithm: M = trivial + R makes R^k the alternating binomial transform of
+M^j over j <= k, and the weights carry that transform (see _weight). The
+eight dim_* families are that kernel at a fixed (group, module, half).
 
 Levels are fractions.Fraction values with denominator 1 or 2.
 """
@@ -17,7 +17,7 @@ import math
 import re
 from fractions import Fraction
 
-from .arith import bell_restricted, binomial, stirling2
+from .arith import bell_restricted, binomial, signed_stirling2, stirling2
 from .branch import alt_labels
 from .young import (
     check_partition,
@@ -176,41 +176,41 @@ def _shapes(ctx, label):
     return (base,)
 
 
-def _alternating_transform(k, value):
-    """sum_j (-1)^(k-j) C(k, j) * value(j), j ascending.
+def _weight(ctx):
+    """(weight, s) such that ctx's terms at level k and hook index t are
+    weight(k + s, t + s) * K(shape, hook(m, t)): S2(k + 1, t + 1) for M on
+    half levels, S2(k, t) for M on integer levels and for R on half levels,
+    and signed_stirling2(k, t) for R on integer levels."""
+    if ctx.module == "refl" and not ctx.half:
+        return signed_stirling2, 0
+    return stirling2, 1 if ctx.half and ctx.module == "perm" else 0
 
-    Moves permutation-module data to the reflection module: M = trivial + R,
-    so a value for R^k is this transform of the values for M^j.
-    """
-    total, coeff = 0, 1  # coeff is C(k, j), stepped exactly
-    for j in range(k + 1):
-        total += (-1) ** (k - j) * coeff * value(j)
-        coeff = coeff * (k - j) // (j + 1)
-    return total
+
+def _nonnegative(value):
+    """value, checked: with signed weights only a bug makes it negative."""
+    if value < 0:
+        raise RuntimeError(f"a dimension came out negative: {value}")
+    return value
 
 
 def block_dimension(ctx, label):
     """Dimension of the block at label of the algebra described by ctx.
 
-    With m = ctx.label_size and s = 1 on half levels (0 otherwise), the
-    permutation module at level j gives sum over shapes and t of
-    S2(j + s, t + s) * K(shape, hook(m, t)); the Stirling factor vanishes
-    for t > j. The reflection module is its alternating transform over j.
+    With m = ctx.label_size, the sum over shapes and t <= min(m, k) of
+    _weight's weight times K(shape, hook(m, t)). M weighs by S2(k, t), or
+    S2(k + 1, t + 1) on half levels. R = M - trivial weighs by the
+    alternating binomial transform of those over levels j <= k:
+    signed_stirling2(k, t), or S2(k, t) on half levels (R restricted to
+    S_{n-1} is M_{n-1}).
     """
     shapes = _shapes(ctx, label)
-    m = ctx.label_size
-    s = 1 if ctx.half else 0
-
-    def perm(j):
-        return sum(
-            stirling2(j + s, t + s) * kostka_hook_type(shape, m, t)
-            for shape in shapes
-            for t in range(min(m, j) + 1)
-        )
-
-    if ctx.module == "perm":
-        return perm(ctx.k)
-    return _alternating_transform(ctx.k, perm)
+    weight, s = _weight(ctx)
+    k, m = ctx.k, ctx.label_size
+    return _nonnegative(sum(
+        weight(k + s, t + s) * kostka_hook_type(shape, m, t)
+        for shape in shapes
+        for t in range(min(m, k) + 1)
+    ))
 
 
 def _family(group, module, half):
@@ -233,39 +233,34 @@ dim_qz_alt = _family("A", "refl", 0)
 dim_qz_alt_half = _family("A", "refl", 1)
 
 
-def _perm_algebra_dim(group, n, tensor_exponent, acting_letters):
-    """Multiplicity of the acting group's trivial module in M tensored
-    tensor_exponent times; this is the algebra dimension at level
-    tensor_exponent / 2.
-
-    For S this is the restricted Bell number B(j, n). For A two extra
-    Stirling terms appear, except when the acting group has at most one
-    letter (A_0 and A_1 coincide with S_0 and S_1, so the S value stands).
-    The acting letter count is passed explicitly because inside the
-    alternating transform the exponent varies while the group does not.
-    """
-    value = bell_restricted(tensor_exponent, n)
-    if group == "A" and acting_letters >= 2:
-        value += stirling2(tensor_exponent, n - 1) + stirling2(tensor_exponent, n)
-    return value
-
-
 def dim_z_algebra(ctx):
-    """Dimension of the whole centralizer algebra described by ctx."""
-    s = 1 if ctx.half else 0
+    """Dimension of the whole centralizer algebra described by ctx.
 
-    def perm(j):
-        return _perm_algebra_dim(ctx.group, ctx.n, j + s, ctx.label_size)
+    It is the sum of _weight's weights at level 2k over t <= m =
+    ctx.label_size. With S2 that is the restricted Bell number
+    B(2k + s, m + s): for M, and for R on half levels, where R restricted to
+    S_{n-1} is M_{n-1}. For R on integer levels it is the row sum of
+    signed_stirling2(2k, t), the alternating binomial transform of the M
+    values over exponents j <= 2k (M = trivial + R). For A two more
+    weights, at t = m - 1 and t = m, appear, except when the acting group
+    has at most one letter (A_0 and A_1 coincide with S_0 and S_1, so the S
+    value stands).
+    """
+    weight, s = _weight(ctx)
+    k, m = 2 * ctx.k, ctx.label_size
+    if weight is signed_stirling2:
+        value = sum(weight(k, t) for t in range(min(k, m) + 1))
+    else:
+        value = bell_restricted(k + s, m + s)
+    if ctx.group == "A" and m >= 2:
+        value += weight(k + s, m + s - 1) + weight(k + s, m + s)
+    return _nonnegative(value)
 
-    if ctx.module == "perm":
-        return perm(2 * ctx.k)
-    return _alternating_transform(2 * ctx.k, perm)
 
-
-def _abacus_sum(k, shift, nu_size):
-    """sum_t C(t, |nu|) * S2(k + shift, t + shift); shift 1 on half levels."""
+def _abacus_sum(weight, k, shift, nu_size):
+    """sum_t C(t, |nu|) * weight(k + shift, t + shift); shift 1 on half levels."""
     return sum(
-        binomial(t, nu_size) * stirling2(k + shift, t + shift)
+        binomial(t, nu_size) * weight(k + shift, t + shift)
         for t in range(nu_size, k + 1)
     )
 
@@ -283,18 +278,20 @@ def dim_partition_algebra_irr(level, nu):
     k = level_floor(level)
     if sum(nu) > k:
         raise ValueError(f"|{nu}| exceeds the level floor {k}")
-    return num_syt(nu) * _abacus_sum(k, 1 if is_half(level) else 0, sum(nu))
+    return num_syt(nu) * _abacus_sum(stirling2, k, 1 if is_half(level) else 0, sum(nu))
 
 
 def dim_qp_irr(k, nu):
     """Dimension of the quasi partition algebra irreducible at nu, integer
-    levels only: the alternating binomial transform of the stable sums."""
+    levels only: the alternating binomial transform over j <= k of the
+    stable sums f^nu * sum_t C(t, |nu|) * S2(j, t), which is that sum with
+    signed_stirling2(k, t) in place of S2(j, t)."""
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"need an integer level k >= 0, got {k!r}")
     nu = check_partition(nu) if nu else ()
     if sum(nu) > k:
         raise ValueError(f"|{nu}| exceeds the level {k}")
-    return num_syt(nu) * _alternating_transform(k, lambda j: _abacus_sum(j, 0, sum(nu)))
+    return _nonnegative(num_syt(nu) * _abacus_sum(signed_stirling2, k, 0, sum(nu)))
 
 
 def dim_model_block(k, r, p):
@@ -309,7 +306,7 @@ def dim_model_block(k, r, p):
         raise ValueError(f"need 0 <= p <= r <= k, got p={p}, r={r}, k={k}")
     if (r - p) % 2:
         raise ValueError(f"r - p must be even, got r={r}, p={p}")
-    return involutions_with_fixed_points(r, p) * _abacus_sum(k, 0, r)
+    return involutions_with_fixed_points(r, p) * _abacus_sum(stirling2, k, 0, r)
 
 
 def labels_for(ctx):

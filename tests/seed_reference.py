@@ -17,8 +17,11 @@
 * stirling2 as it was, a cached recursion that warms a grid of entries when
   it runs out of stack. The package reads a table filled bottom-up. The
   frozen dim_* families use this copy.
-* _alternating_transform as it was, with one binomial call per term. The
-  package steps the binomials.
+* _alternating_transform as it was, with one binomial call per term, and
+  dim_z_algebra, _perm_algebra_dim, _abacus_sum and dim_qp_irr as they were,
+  taking that transform over lower levels for the reflection module. The
+  package weighs by signed Stirling numbers instead; these copies use the
+  frozen transform and the frozen stirling2.
 
 These copies keep the earlier code exactly as it was, so the tests can
 demand byte-identical rows, edges, exports, pairs, walks, dimensions and
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from centdim.arith import binomial
+from centdim.arith import bell_restricted, binomial
 from centdim.bijection import tableau_shape
 from centdim.bratteli import BratteliDiagram, _sort_key, format_label
 from centdim.branch import (
@@ -51,6 +54,7 @@ from centdim.young import (
     conjugate,
     is_partition,
     kostka_hook_type,
+    num_syt,
     partition_sort_key,
     partitions_of,
 )
@@ -500,6 +504,54 @@ def block_dimension(ctx, label):
             ("refl", True): dim_qz_alt_half,
         }
     return table[(ctx.module, ctx.half)](n, k, label)
+
+
+def _perm_algebra_dim(group, n, tensor_exponent, acting_letters):
+    """Multiplicity of the acting group's trivial module in M tensored
+    tensor_exponent times; this is the algebra dimension at level
+    tensor_exponent / 2.
+
+    For S this is the restricted Bell number B(j, n). For A two extra
+    Stirling terms appear, except when the acting group has at most one
+    letter (A_0 and A_1 coincide with S_0 and S_1, so the S value stands).
+    The acting letter count is passed explicitly because inside the
+    alternating transform the exponent varies while the group does not.
+    """
+    value = bell_restricted(tensor_exponent, n)
+    if group == "A" and acting_letters >= 2:
+        value += stirling2(tensor_exponent, n - 1) + stirling2(tensor_exponent, n)
+    return value
+
+
+def dim_z_algebra(ctx):
+    """Dimension of the whole centralizer algebra described by ctx."""
+    s = 1 if ctx.half else 0
+
+    def perm(j):
+        return _perm_algebra_dim(ctx.group, ctx.n, j + s, ctx.label_size)
+
+    if ctx.module == "perm":
+        return perm(2 * ctx.k)
+    return _alternating_transform(2 * ctx.k, perm)
+
+
+def _abacus_sum(k, shift, nu_size):
+    """sum_t C(t, |nu|) * S2(k + shift, t + shift); shift 1 on half levels."""
+    return sum(
+        binomial(t, nu_size) * stirling2(k + shift, t + shift)
+        for t in range(nu_size, k + 1)
+    )
+
+
+def dim_qp_irr(k, nu):
+    """Dimension of the quasi partition algebra irreducible at nu, integer
+    levels only: the alternating binomial transform of the stable sums."""
+    if not isinstance(k, int) or k < 0:
+        raise ValueError(f"need an integer level k >= 0, got {k!r}")
+    nu = check_partition(nu) if nu else ()
+    if sum(nu) > k:
+        raise ValueError(f"|{nu}| exceeds the level {k}")
+    return num_syt(nu) * _alternating_transform(k, lambda j: _abacus_sum(j, 0, sum(nu)))
 
 
 @dataclass(frozen=True)

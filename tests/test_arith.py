@@ -17,6 +17,7 @@ from centdim.arith import (
     binomial,
     odd_double_factorial,
     set_partitions,
+    signed_stirling2,
     singleton_free_bell,
     stirling2,
 )
@@ -140,6 +141,21 @@ def test_singleton_free_pairs_with_bell():
         assert counted[m] + counted[m + 1] == bell(m)
 
 
+def signed_by_binomial_sum(k, t):
+    return sum((-1) ** (k - j) * binomial(k, j) * ref.stirling2(j, t) for j in range(k + 1))
+
+
+def test_signed_stirling2_is_the_binomial_transform():
+    for k in range(61):
+        for t in range(-3, k + 4):
+            assert signed_stirling2(k, t) == signed_by_binomial_sum(k, t), (k, t)
+
+
+def test_signed_stirling2_row_sums_are_singleton_free():
+    for k in range(41):
+        assert sum(signed_stirling2(k, t) for t in range(k + 1)) == singleton_free_bell(k)
+
+
 @given(st.integers(min_value=0, max_value=40), st.integers(min_value=-3, max_value=43))
 def test_binomial_symmetry(n, k):
     assert binomial(n, k) == binomial(n, n - k)
@@ -169,15 +185,19 @@ def stirling_index(draw):
         st.integers(min_value=max(k - 3, -3), max_value=k + 3),
         st.integers(min_value=-3, max_value=3),
     ))
-    return k, t
+    return draw(st.booleans()), k, t
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(stirling_index(), min_size=1, max_size=25))
 def test_stirling2_table_is_independent_of_call_order(calls):
+    # signed calls fill their own table, interleaved with the unsigned ones
     table = fresh_arith()
-    for k, t in calls:
-        assert table.stirling2(k, t) == ref.stirling2(k, t), (k, t)
+    for signed, k, t in calls:
+        if signed:
+            assert table.signed_stirling2(k, t) == signed_by_binomial_sum(k, t), (k, t)
+        else:
+            assert table.stirling2(k, t) == ref.stirling2(k, t), (k, t)
 
 
 def run_python(code):
@@ -192,9 +212,10 @@ def run_python(code):
     )
 
 
-def explicit_stirling2(k, t):
-    """S2(k, t) = sum_j (-1)^(t-j) C(t, j) j^k / t!, with no table at all."""
-    total = sum((-1) ** (t - j) * binomial(t, j) * j**k for j in range(t + 1))
+def explicit_stirling2(k, t, shift=0):
+    """S2(k, t) = sum_j (-1)^(t-j) C(t, j) j^k / t!, with no table at all.
+    With shift -1, (j - 1)^k in place of j^k gives signed_stirling2(k, t)."""
+    total = sum((-1) ** (t - j) * binomial(t, j) * (j + shift) ** k for j in range(t + 1))
     return total // math.factorial(t)
 
 
@@ -213,25 +234,32 @@ def bell_triangle(k):
 def test_stirling2_needs_no_stack_in_a_fresh_process():
     proc = run_python(
         "import sys\n"
-        "from centdim.arith import bell, stirling2\n"
+        "from centdim.arith import bell, signed_stirling2, stirling2\n"
         "sys.setrecursionlimit(60)\n"
         "print(stirling2(5000, 7), stirling2(3000, 2999), bell(400))\n"
+        "print(signed_stirling2(5000, 7), signed_stirling2(3000, 2999))\n"
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.split() == [
         str(explicit_stirling2(5000, 7)), str(3000 * 2999 // 2), str(bell_triangle(400)),
+        str(explicit_stirling2(5000, 7, -1)), str(3000 * 2999 // 2 - 3000),
     ]
 
 
 def test_stirling2_table_is_a_staircase_in_a_fresh_process():
     # S2(3000, 2999) needs 2,999 rows of two cells; a full triangle of rows
-    # S2(k, 0..k) for k <= 3000 would hold about 4.5 million big integers
+    # S2(k, 0..k) for k <= 3000 would hold about 4.5 million big integers.
+    # signed_stirling2 fills the same staircase in its own table.
     proc = run_python(
         "import tracemalloc\n"
-        "from centdim.arith import stirling2\n"
+        "from centdim.arith import signed_stirling2, stirling2\n"
         "tracemalloc.start()\n"
         "stirling2(3000, 2999)\n"
         "print(tracemalloc.get_traced_memory()[1])\n"
+        "tracemalloc.reset_peak()\n"
+        "signed_stirling2(3000, 2999)\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
     )
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert int(proc.stdout) < 10 * 2**20
+    peaks = [int(x) for x in proc.stdout.split()]
+    assert len(peaks) == 2 and max(peaks) < 10 * 2**20

@@ -6,9 +6,7 @@ from hypothesis import given, strategies as st
 
 from centdim.arith import set_partitions, stirling2
 from centdim.bijection import (
-    format_set_partition,
     is_semistandard,
-    parse_set_partition,
     pair_to_path,
     path_to_pair,
     row_insert,
@@ -176,19 +174,6 @@ def test_walk_prefixes_stay_semistandard():
             assert is_semistandard(tableau)
             zeros = sum(1 for row in tableau for x in row if x == 0)
             assert zeros == 4 - len(blocks)
-
-
-def test_set_partition_text():
-    assert format_set_partition(((1, 3), (2,))) == "1,3|2"
-    assert format_set_partition(()) == ""
-    assert parse_set_partition("1,3|2") == ((1, 3), (2,))
-    assert parse_set_partition("") == ()
-    for blocks in set_partitions(5):
-        assert parse_set_partition(format_set_partition(blocks)) == blocks
-    with pytest.raises(ValueError):
-        parse_set_partition("1,|2")
-    with pytest.raises(ValueError):
-        parse_set_partition("a|b")
 
 
 def test_tableau_shape():

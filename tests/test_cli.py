@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -239,6 +241,37 @@ def test_verify_command(capsys):
     )
     assert code == 0
     assert out.splitlines()[-1] == "summary: 4 suites, 0 failures"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_examples():
+    """(argv, shown stdout lines) for each `$ centdim` example in the
+    README's "Command line" block, with backslash continuations joined."""
+    block = README.read_text().split("## Command line", 1)[1].split("```\n", 2)[1]
+    examples, lines = [], iter(block.splitlines())
+    for line in lines:
+        if line.startswith("$ centdim "):
+            while line.endswith("\\"):
+                line = line[:-1] + next(lines)
+            examples.append((shlex.split(line)[2:], []))
+        else:
+            examples[-1][1].append(line)
+    return examples
+
+
+def test_readme_examples(capsys):
+    # a "..." line stands for any run of lines
+    examples = readme_examples()
+    assert len(examples) == 8
+    for argv, shown in examples:
+        pattern = "".join(
+            "(?:.*\n)*" if line == "..." else re.escape(line + "\n") for line in shown
+        )
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert re.fullmatch(pattern, out), (argv, out)
 
 
 def test_output_is_deterministic(capsys):

@@ -20,6 +20,7 @@ from centdim.dims import (
     dim_z_alt,
     dim_z_alt_half,
     dim_z_half,
+    labels_for,
     parse_level,
 )
 from centdim.young import (
@@ -265,6 +266,22 @@ def test_quasi_inversion_roundtrip():
                     binomial(k, low) * dim_qz_alt(n, low, lab)
                     for low in range(k + 1)
                 )
+
+
+def test_reflection_half_levels_are_permutation_levels_one_letter_down():
+    # R restricted to S_{n-1} is M_{n-1}, so level k + 1/2 of R on n letters
+    # is level k of M on n - 1 letters, block by block
+    blocks = 0
+    for group in ("S", "A"):
+        for n in range(2, 11):
+            for k in range(13):
+                refl = ctx(group, n, "refl", Fraction(2 * k + 1, 2))
+                perm = ctx(group, n - 1, "perm", k)
+                assert dim_z_algebra(refl) == dim_z_algebra(perm), (group, n, k)
+                for label in labels_for(perm):
+                    assert block_dimension(refl, label) == block_dimension(perm, label)
+                    blocks += 1
+    assert blocks == 2054
 
 
 def test_partition_algebra_stable_range():

@@ -1,9 +1,9 @@
 """Rewritten code against frozen copies of what it replaced
 (seed_reference.py): the one-pass tower builder and walk replay, the pruned
 path enumeration, the folded alternating branching rules, the dimension
-kernel with its stepped binomials and the label classes. Same rows, edges
-and exports, same paths, pairs and walks, same branchings and dimensions,
-same label behaviour, same error messages."""
+kernel with its signed reflection weights and the label classes. Same rows,
+edges and exports, same paths, pairs and walks, same branchings and
+dimensions, same label behaviour, same error messages."""
 
 import ast
 import copy
@@ -213,23 +213,22 @@ def test_alt_fold_matches_reference():
     )
 
 
-def test_stepped_binomials_match_reference(monkeypatch):
-    def values():
-        for group in ("S", "A"):
-            for n in range(1, 6):
+def test_signed_weights_match_the_frozen_transform():
+    for group in ("S", "A"):
+        for n in range(1, 6):
+            for module in ("perm", "refl"):
                 for twice in range(81):
-                    ctx = GroupModuleContext(group, n, "refl", Fraction(twice, 2))
-                    yield dims.dim_z_algebra(ctx)
+                    ctx = GroupModuleContext(group, n, module, Fraction(twice, 2))
+                    assert dims.dim_z_algebra(ctx) == ref.dim_z_algebra(ctx), ctx
                     for label in labels_for(ctx):
-                        yield dims.block_dimension(ctx, label)
-        for k in range(41):
-            for size in range(min(k, 5) + 1):
-                for nu in partitions_of(size):
-                    yield dims.dim_qp_irr(k, nu)
-
-    stepped = list(values())
-    monkeypatch.setattr(dims, "_alternating_transform", ref._alternating_transform)
-    assert stepped == list(values())
+                        new = dims.block_dimension(ctx, label)
+                        assert new == ref.block_dimension(ctx, label), (ctx, label)
+    for k in range(41):
+        for size in range(min(k, 5) + 1):
+            for nu in partitions_of(size):
+                assert dims.dim_qp_irr(k, nu) == ref.dim_qp_irr(k, nu), (k, nu)
+    for bad in ((2, (3,)), (-1, ()), (Fraction(1, 2), ())):
+        assert outcome(dims.dim_qp_irr, *bad) == outcome(ref.dim_qp_irr, *bad)
 
 
 FAMILIES = [
