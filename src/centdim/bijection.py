@@ -17,13 +17,17 @@ otherwise.
 Each direction validates its input once (check_path's rules for a walk,
 the pair checks for a pair) and then replays on one mutable tableau,
 finding blocks by their current maximum, so a walk of length 2k costs
-O(k) row operations after that single validating pass.
+O(k) row operations after that single validating pass. check_path checks
+every shape with is_partition first and only then looks up each step's
+cell in a memo keyed on the (validated) shape pair, so walks that share a
+step diff its two shapes once.
 
 Tableaux are tuples of tuples of ints; set partitions are tuples of tuples,
 blocks ordered by minimum.
 """
 
 from bisect import bisect_left, bisect_right
+from functools import cache
 
 from .young import is_partition
 
@@ -135,6 +139,16 @@ def _one_box_difference(bigger, smaller):
     return None
 
 
+@cache
+def _step_cell(down, up):
+    """_one_box_difference(down, up), memoized per shape pair.
+
+    Only for shapes that passed is_partition: (3, 1.0) == (3, 1) and both
+    hash alike, so a lookup on an unchecked shape could accept a float.
+    """
+    return _one_box_difference(down, up)
+
+
 def check_path(path, n):
     """Validate a vacillating walk; returns its shapes as tuples of tuples
     and, for each step, the 1-based cell it removes or adds."""
@@ -146,18 +160,18 @@ def check_path(path, n):
             raise ValueError(f"malformed path: bad shape {s}")
     if shapes[0] != (n,):
         raise ValueError(f"malformed path: must start at ({n},)")
-    cells = []
-    for i in range(1, len(shapes)):
-        removing = i % 2 == 1
-        down, up = (shapes[i - 1], shapes[i]) if removing else (shapes[i], shapes[i - 1])
-        cell = _one_box_difference(down, up)
-        if cell is None:
-            verb = "remove" if removing else "add"
-            raise ValueError(
-                f"malformed path: step {i} must {verb} one cell "
-                f"({shapes[i - 1]} -> {shapes[i]})"
-            )
-        cells.append(cell)
+    # every shape is a partition now, so the memo may be read
+    cells = [
+        _step_cell(shapes[i - 1], shapes[i]) if i % 2 else _step_cell(shapes[i], shapes[i - 1])
+        for i in range(1, len(shapes))
+    ]
+    if None in cells:
+        i = cells.index(None) + 1
+        verb = "remove" if i % 2 else "add"
+        raise ValueError(
+            f"malformed path: step {i} must {verb} one cell "
+            f"({shapes[i - 1]} -> {shapes[i]})"
+        )
     return shapes, cells
 
 
@@ -201,7 +215,7 @@ def _check_pair(blocks, tableau, n):
     k = len(members)
     if members != list(range(1, k + 1)) or () in blocks:
         raise ValueError(f"incompatible pair: blocks must partition 1..{k}")
-    blocks = tuple(sorted(blocks, key=lambda b: b[0]))
+    blocks = tuple(sorted(blocks))  # minima are distinct, so this orders by minimum
     rows = tuple([tuple(r) for r in tableau])
     if not rows or not is_semistandard(rows):
         raise ValueError("incompatible pair: tableau is not semistandard")

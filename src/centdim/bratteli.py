@@ -16,6 +16,11 @@ Building costs one branching call per vertex: each label of a row is
 restricted once (half step) or induced once (integer step), and the
 neighbor lists and counts of the row below are collected from those
 calls in one sweep.
+
+The JSON export is written directly, line for line in the layout that
+json.dumps(doc, indent=2) gives the document, with each label formatted
+and escaped once per export; json.dumps with indent runs the pure-Python
+encoder, which cost several times the rest of an export.
 """
 
 import json
@@ -217,28 +222,56 @@ def _export_text(diagram):
 
 
 def _export_json(diagram):
+    """The text json.dumps(doc, indent=2) gives the tower's document, with
+    "pair", "module" and, per row, "level", "vertices", "edges" and
+    "squareSum"; counts and square sums are strings."""
+    quoted = _QuotedLabels()
     levels = []
     for i, row in enumerate(diagram.rows):
-        levels.append(
-            {
-                "level": format_level(Fraction(i, 2)),
-                "vertices": [
-                    {"label": format_label(lab), "count": str(count)}
-                    for lab, count in row
-                ],
-                "edges": [
-                    {"from": format_label(src), "to": format_label(dst)}
-                    for src, dst in diagram.edges[i]
-                ],
-                "squareSum": str(row_square_sum(row)),
-            }
+        vertices = ",\n".join(
+            [
+                f'        {{\n          "label": {quoted[lab]},\n'
+                f'          "count": "{count}"\n        }}'
+                for lab, count in row
+            ]
         )
-    doc = {
-        "pair": f"{diagram.group}:{diagram.n}",
-        "module": diagram.module,
-        "levels": levels,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+        edges = ",\n".join(
+            [
+                f'        {{\n          "from": {quoted[src]},\n'
+                f'          "to": {quoted[dst]}\n        }}'
+                for src, dst in diagram.edges[i]
+            ]
+        )
+        levels.append(
+            "    {\n"
+            f'      "level": {json.dumps(format_level(Fraction(i, 2)))},\n'
+            f'      "vertices": {_json_list(vertices)},\n'
+            f'      "edges": {_json_list(edges)},\n'
+            f'      "squareSum": "{row_square_sum(row)}"\n'
+            "    }"
+        )
+    pair = json.dumps(f"{diagram.group}:{diagram.n}")
+    levels = _json_list(",\n".join(levels), "  ")
+    return (
+        "{\n"
+        f'  "pair": {pair},\n'
+        f'  "module": {json.dumps(diagram.module)},\n'
+        f'  "levels": {levels}\n'
+        "}\n"
+    )
+
+
+class _QuotedLabels(dict):
+    """Label -> its JSON string, formatted and escaped on first use."""
+
+    def __missing__(self, label):
+        text = self[label] = json.dumps(format_label(label))
+        return text
+
+
+def _json_list(items, indent="      "):
+    """A JSON array of already-written items, closed at the given indent."""
+    return f"[\n{items}\n{indent}]" if items else "[]"
 
 
 def _node_id(row_index, label):

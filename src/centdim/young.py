@@ -7,6 +7,7 @@ partition. Text form is comma-separated parts ("3,1,1") with "empty" for ().
 import enum
 from functools import cache
 from math import factorial
+from operator import neg
 
 from .arith import binomial, odd_double_factorial
 
@@ -40,12 +41,12 @@ def parse_partition(text):
 
 
 def format_partition(lam):
-    return ",".join(str(p) for p in lam) if lam else "empty"
+    return ",".join(map(str, lam)) if lam else "empty"
 
 
 def partition_sort_key(lam):
     """Sort key putting partitions in decreasing lexicographic order."""
-    return tuple(-p for p in lam)
+    return tuple(map(neg, lam))
 
 
 @cache

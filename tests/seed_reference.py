@@ -22,6 +22,8 @@
   taking that transform over lower levels for the reflection module. The
   package weighs by signed Stirling numbers instead; these copies use the
   frozen transform and the frozen stirling2.
+* _export_json as it was, a dict document (json_document here) passed to
+  json.dumps with indent=2. The package writes that layout directly.
 
 These copies keep the earlier code exactly as it was, so the tests can
 demand byte-identical rows, edges, exports, pairs, walks, dimensions and
@@ -30,6 +32,7 @@ error messages from the rewrites. Only code that the rewrites left alone
 numbers) is imported from the package. Do not edit.
 """
 
+import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +40,7 @@ from functools import cache
 
 from centdim.arith import bell_restricted, binomial
 from centdim.bijection import tableau_shape
-from centdim.bratteli import BratteliDiagram, _sort_key, format_label
+from centdim.bratteli import BratteliDiagram, _sort_key, format_label, row_square_sum
 from centdim.branch import (
     _SIGN_ORDER,
     AltLabel,
@@ -629,3 +632,31 @@ class SeedGroupModuleContext:
 
 # The dataclass repr prints the class's qualified name; this is the name it had.
 SeedGroupModuleContext.__qualname__ = "GroupModuleContext"
+
+
+def json_document(diagram):
+    levels = []
+    for i, row in enumerate(diagram.rows):
+        levels.append(
+            {
+                "level": format_level(Fraction(i, 2)),
+                "vertices": [
+                    {"label": format_label(lab), "count": str(count)}
+                    for lab, count in row
+                ],
+                "edges": [
+                    {"from": format_label(src), "to": format_label(dst)}
+                    for src, dst in diagram.edges[i]
+                ],
+                "squareSum": str(row_square_sum(row)),
+            }
+        )
+    return {
+        "pair": f"{diagram.group}:{diagram.n}",
+        "module": diagram.module,
+        "levels": levels,
+    }
+
+
+def _export_json(diagram):
+    return json.dumps(json_document(diagram), indent=2) + "\n"

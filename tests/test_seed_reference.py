@@ -1,14 +1,15 @@
 """Rewritten code against frozen copies of what it replaced
 (seed_reference.py): the one-pass tower builder and walk replay, the pruned
-path enumeration, the folded alternating branching rules, the dimension
-kernel with its signed reflection weights and the label classes. Same rows,
-edges and exports, same paths, pairs and walks, same branchings and
-dimensions, same label behaviour, same error messages."""
+path enumeration, the direct JSON writer, the folded alternating branching
+rules, the dimension kernel with its signed reflection weights and the label
+classes. Same rows, edges and exports, same paths, pairs and walks, same
+branchings and dimensions, same label behaviour, same error messages."""
 
 import ast
 import copy
 import importlib
 import inspect
+import json
 import os
 import pickle
 import pkgutil
@@ -93,6 +94,23 @@ def test_bijection_matches_reference():
     assert walks == 3996
 
 
+def test_json_export_matches_reference():
+    # level 0 has no edges, and refl rows keep vertices whose count is 0
+    exports = zero_counts = 0
+    for group in ("S", "A"):
+        for module in ("perm", "refl"):
+            for n in range(2 if group == "S" else 4, 13):
+                for top in range(13):
+                    diagram = build_diagram(group, n, module, Fraction(top, 2))
+                    text = export(diagram, "json")
+                    assert text == ref._export_json(diagram), (group, module, n, top)
+                    assert json.loads(text) == ref.json_document(diagram)
+                    exports += 1
+                    zero_counts += sum(c == 0 for _, c in diagram.rows[-1])
+    assert exports == 520
+    assert zero_counts > 0
+
+
 MALFORMED_PATHS = [
     ((), 4),
     (((4,), (3,)), 4),
@@ -162,6 +180,83 @@ def test_odd_entries_match_reference():
         assert outcome(bijection.pair_to_path, blocks, tableau, n) == outcome(
             ref.pair_to_path, blocks, tableau, n
         ), (blocks, tableau)
+
+
+def run_fresh(code, *flags):
+    """Run code in a new interpreter that imports the package under test and
+    the frozen copies."""
+    paths = (Path(centdim.__file__).resolve().parent.parent, Path(__file__).resolve().parent)
+    return subprocess.run(
+        [sys.executable, *flags, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(map(str, paths))},
+        timeout=60,
+    )
+
+
+STEP_MEMO_PROBE = """
+from decimal import Decimal
+from fractions import Fraction
+
+import seed_reference as ref
+from centdim.bijection import _step_cell, path_to_pair
+
+
+def outcome(fn, path, n):
+    try:
+        return "ok", fn(path, n)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+def mismatches(paths):
+    return [i for i, (path, n) in enumerate(paths)
+            if outcome(path_to_pair, path, n) != outcome(ref.path_to_pair, path, n)]
+
+
+walk = ((4,), (3,), (3, 1), (3,), (4,))
+report = {"cold size": _step_cell.cache_info().currsize}
+report["odd before warming"] = mismatches(ODD_PATHS)
+path_to_pair(walk, 4)
+report["malformed"] = mismatches(MALFORMED_PATHS)
+warm = _step_cell.cache_info()
+spoilt = [(((4,), (3,), (3, x), (3,), (4,)), 4) for x in (1.0, Fraction(1), Decimal(1))]
+spoilt += [(((4,), (4,), (3, x)), 4) for x in (1.0, Fraction(1), Decimal(1))]
+report["spoilt"] = [outcome(path_to_pair, path, n) for path, n in spoilt]
+report["spoilt unlike reference"] = mismatches(spoilt)
+report["odd after warming"] = mismatches(ODD_PATHS)
+report["malformed again"] = mismatches(MALFORMED_PATHS)
+path_to_pair(walk, 4)
+end = _step_cell.cache_info()
+report["grown"] = end.currsize - warm.currsize
+report["new misses"] = end.misses - warm.misses
+print(repr(report))
+"""
+
+
+def test_step_memo_takes_only_checked_shapes_in_a_fresh_process():
+    # (3, 1.0) == (3, 1) and both hash alike: once the integer step is in the
+    # memo, only the shape check keeps a float, Fraction or Decimal walk out.
+    proc = run_fresh(
+        f"ODD_PATHS = {ODD_PATHS!r}\nMALFORMED_PATHS = {MALFORMED_PATHS!r}\n"
+        + STEP_MEMO_PROBE
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = ast.literal_eval(proc.stdout)
+    assert report.pop("cold size") == 0
+    spoilt = report.pop("spoilt")
+    assert [kind for kind, _ in spoilt] == ["ValueError"] * 6
+    assert [text.split(" (")[0] for _, text in spoilt] == ["malformed path: bad shape"] * 6
+    assert report == {
+        "odd before warming": [],
+        "malformed": [],
+        "spoilt unlike reference": [],
+        "odd after warming": [],
+        "malformed again": [],
+        "grown": 0,
+        "new misses": 0,
+    }
 
 
 small_shape = st.lists(st.integers(min_value=-1, max_value=4), max_size=4).map(tuple)
@@ -296,14 +391,7 @@ def test_uninsert_raises_under_optimize():
         "except ValueError:\n"
         "    print('ValueError')\n"
     )
-    src = Path(centdim.__file__).resolve().parent.parent
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-        timeout=60,
-    )
+    proc = run_fresh(code, "-O")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ValueError\n", "")
 
 
