@@ -47,6 +47,9 @@ class AltLabel:
     sign: '+', '-' for the two halves of a split label, None otherwise.
 
     Immutable; equal and hashed by (base, sign), and equal only to labels.
+    The hash is computed once, at construction, and again when a label is
+    copied or unpickled: str hashes differ between processes, so a stored
+    hash must not travel in a pickle.
     """
 
     __match_args__ = ("base", "sign")
@@ -66,6 +69,7 @@ class AltLabel:
             )
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "_hash", hash((base, sign)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -79,7 +83,13 @@ class AltLabel:
         return (self.base, self.sign) == (other.base, other.sign)
 
     def __hash__(self):
-        return hash((self.base, self.sign))
+        return self._hash
+
+    def __getstate__(self):
+        return {"base": self.base, "sign": self.sign}
+
+    def __setstate__(self, state):
+        self.__init__(state["base"], state["sign"])
 
     @property
     def size(self):

@@ -12,19 +12,26 @@ but a corrected rule on integer rows: Pascal sum minus the same label's
 count two rows up (0 when absent). Those subscripts are not path counts,
 and vertices whose count reaches 0 are kept in the diagram.
 
-Building costs one branching call per vertex: each label of a row is
-restricted once (half step) or induced once (integer step), and the
-neighbor lists and counts of the row below are collected from those
-calls in one sweep.
+Building costs one branching call per distinct label per process: each
+label of a row is restricted (half step) or induced (integer step) through
+a memo, and the neighbor lists and counts of the row below are collected
+from those results in one sweep. A label's neighbors depend only on the
+label (and, for an induction, on n), not on the module, the top level or
+the build, so the perm and refl towers of a pair and every deeper tower
+reuse them. The memo only ever sees labels reached from a root that
+passed check_partition: (8.0,) == (8,) and both hash alike, so an
+unchecked root could read the integer tower's entries.
 
 The JSON export is written directly, line for line in the layout that
 json.dumps(doc, indent=2) gives the document, with each label formatted
 and escaped once per export; json.dumps with indent runs the pure-Python
-encoder, which cost several times the rest of an export.
+encoder, which cost several times the rest of an export. The DOT export
+likewise formats each label once.
 """
 
 import json
 from fractions import Fraction
+from functools import cache
 
 from .branch import (
     AltLabel,
@@ -36,7 +43,7 @@ from .branch import (
     restrict_sym_to_alt,
 )
 from .dims import check_level, check_scale, format_level
-from .young import partition_sort_key
+from .young import check_partition, partition_sort_key
 
 
 def _sort_key(label):
@@ -91,16 +98,21 @@ def row_square_sum(row):
     return sum(c * c for _, c in row)
 
 
+# The branching rules are read from this module's globals on a miss, so a
+# caller that rebinds them here (a tracer, say) sees every miss. Results are
+# tuples: a cached value is shared by every later build.
+@cache
 def _restriction(group, label):
     if group == "S":
-        return restrict_sym(label)
-    return restrict_alt(label)
+        return tuple(restrict_sym(label))
+    return tuple(restrict_alt(label))
 
 
+@cache
 def _inductions(group, label, to_size):
     if group == "S":
-        return induce_sym(label, to_size)
-    return induce_alt(label, to_size)
+        return tuple(induce_sym(label, to_size))
+    return tuple(induce_alt(label, to_size))
 
 
 def build_diagram(group, n, module, max_level):
@@ -109,8 +121,10 @@ def build_diagram(group, n, module, max_level):
     Requires n >= 2 for 'S' and n >= 4 for 'A' (smaller alternating towers
     degenerate; their dimensions are still available through dims). Counts
     follow the Pascal rule, with the quasi correction on integer rows for
-    the reflection module. Each vertex is restricted or induced once, when
-    the row below it is built.
+    the reflection module. Each distinct label is restricted or induced
+    once per process, when the first row below it is built; later rows and
+    builds read the memo. The S root is checked as a partition up front, so
+    a non-integer n is refused at every level, 0 included.
     """
     if group not in ("S", "A"):
         raise ValueError(f"group must be 'S' or 'A', got {group!r}")
@@ -123,7 +137,7 @@ def build_diagram(group, n, module, max_level):
     check_scale(max_level, n)
 
     if group == "S":
-        root = (n,)
+        root = check_partition((n,))
     else:
         (root,) = restrict_sym_to_alt((n,))
     rows = [[(root, 1)]]
@@ -225,7 +239,7 @@ def _export_json(diagram):
     """The text json.dumps(doc, indent=2) gives the tower's document, with
     "pair", "module" and, per row, "level", "vertices", "edges" and
     "squareSum"; counts and square sums are strings."""
-    quoted = _QuotedLabels()
+    quoted = _LabelTexts(_quoted_label)
     levels = []
     for i, row in enumerate(diagram.rows):
         vertices = ",\n".join(
@@ -261,12 +275,21 @@ def _export_json(diagram):
     )
 
 
-class _QuotedLabels(dict):
-    """Label -> its JSON string, formatted and escaped on first use."""
+class _LabelTexts(dict):
+    """Label -> render(label), rendered on first use, so that an export
+    formats each label once however many rows and edges show it."""
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
 
     def __missing__(self, label):
-        text = self[label] = json.dumps(format_label(label))
+        text = self[label] = self.render(label)
         return text
+
+
+def _quoted_label(label):
+    return json.dumps(format_label(label))
 
 
 def _json_list(items, indent="      "):
@@ -274,11 +297,8 @@ def _json_list(items, indent="      "):
     return f"[\n{items}\n{indent}]" if items else "[]"
 
 
-def _node_id(row_index, label):
-    return f"{row_index}:{format_label(label)}"
-
-
 def _export_dot(diagram):
+    names = _LabelTexts(format_label)
     lines = [f'digraph "{diagram.group}:{diagram.n}-{diagram.module}" {{']
     lines.append("  rankdir=TB;")
     for i, row in enumerate(diagram.rows):
@@ -286,11 +306,11 @@ def _export_dot(diagram):
         lines.append(f"  subgraph cluster_{i} {{")
         lines.append(f'    label="l={level_text}";')
         for lab, count in row:
-            node = _node_id(i, lab)
-            lines.append(f'    "{node}" [label="[{format_label(lab)}]:{count}"];')
+            name = names[lab]
+            lines.append(f'    "{i}:{name}" [label="[{name}]:{count}"];')
         lines.append("  }")
     for i, row_edges in enumerate(diagram.edges):
         for src, dst in row_edges:
-            lines.append(f'  "{_node_id(i - 1, src)}" -> "{_node_id(i, dst)}";')
+            lines.append(f'  "{i - 1}:{names[src]}" -> "{i}:{names[dst]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

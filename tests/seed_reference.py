@@ -24,6 +24,9 @@
   frozen transform and the frozen stirling2.
 * _export_json as it was, a dict document (json_document here) passed to
   json.dumps with indent=2. The package writes that layout directly.
+* _export_dot and _node_id as they were, formatting a label for every node
+  and both ends of every edge. The package formats each label once per
+  export.
 
 These copies keep the earlier code exactly as it was, so the tests can
 demand byte-identical rows, edges, exports, pairs, walks, dimensions and
@@ -660,3 +663,25 @@ def json_document(diagram):
 
 def _export_json(diagram):
     return json.dumps(json_document(diagram), indent=2) + "\n"
+
+
+def _node_id(row_index, label):
+    return f"{row_index}:{format_label(label)}"
+
+
+def _export_dot(diagram):
+    lines = [f'digraph "{diagram.group}:{diagram.n}-{diagram.module}" {{']
+    lines.append("  rankdir=TB;")
+    for i, row in enumerate(diagram.rows):
+        level_text = format_level(Fraction(i, 2))
+        lines.append(f"  subgraph cluster_{i} {{")
+        lines.append(f'    label="l={level_text}";')
+        for lab, count in row:
+            node = _node_id(i, lab)
+            lines.append(f'    "{node}" [label="[{format_label(lab)}]:{count}"];')
+        lines.append("  }")
+    for i, row_edges in enumerate(diagram.edges):
+        for src, dst in row_edges:
+            lines.append(f'  "{_node_id(i - 1, src)}" -> "{_node_id(i, dst)}";')
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -145,6 +145,15 @@ def test_build_rejects_degenerate_towers():
         build_diagram("S", 4, "standard", Fraction(2))
 
 
+def test_build_refuses_a_non_integer_n_at_every_level():
+    for group in ("S", "A"):
+        for n in (8.0, Fraction(8)):
+            for top in (0, Fraction(1, 2), 1):
+                with pytest.raises(ValueError) as info:
+                    build_diagram(group, n, "perm", top)
+                assert str(info.value) == f"not a valid partition: ({n!r},)"
+
+
 def test_text_export():
     diagram = build_diagram("S", 4, "perm", Fraction(2))
     text = export(diagram, "text")

@@ -15,6 +15,7 @@ import pickle
 import pkgutil
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -94,21 +95,36 @@ def test_bijection_matches_reference():
     assert walks == 3996
 
 
+# S/A x perm/refl, n from the group's minimum to 12, tops 0..6 by halves
+# (given as twice the top): level 0 has no edges, and refl rows keep vertices
+# whose count is 0.
+EXPORT_GRID = [
+    (group, module, n, twice)
+    for group in ("S", "A")
+    for module in ("perm", "refl")
+    for n in range(2 if group == "S" else 4, 13)
+    for twice in range(13)
+]
+
+
 def test_json_export_matches_reference():
-    # level 0 has no edges, and refl rows keep vertices whose count is 0
     exports = zero_counts = 0
-    for group in ("S", "A"):
-        for module in ("perm", "refl"):
-            for n in range(2 if group == "S" else 4, 13):
-                for top in range(13):
-                    diagram = build_diagram(group, n, module, Fraction(top, 2))
-                    text = export(diagram, "json")
-                    assert text == ref._export_json(diagram), (group, module, n, top)
-                    assert json.loads(text) == ref.json_document(diagram)
-                    exports += 1
-                    zero_counts += sum(c == 0 for _, c in diagram.rows[-1])
+    for group, module, n, top in EXPORT_GRID:
+        diagram = build_diagram(group, n, module, Fraction(top, 2))
+        text = export(diagram, "json")
+        assert text == ref._export_json(diagram), (group, module, n, top)
+        assert json.loads(text) == ref.json_document(diagram)
+        exports += 1
+        zero_counts += sum(c == 0 for _, c in diagram.rows[-1])
     assert exports == 520
     assert zero_counts > 0
+
+
+def test_dot_export_matches_reference():
+    for group, module, n, top in EXPORT_GRID:
+        diagram = build_diagram(group, n, module, Fraction(top, 2))
+        assert export(diagram, "dot") == ref._export_dot(diagram), (group, module, n, top)
+    assert len(EXPORT_GRID) == 520
 
 
 MALFORMED_PATHS = [
@@ -182,15 +198,18 @@ def test_odd_entries_match_reference():
         ), (blocks, tableau)
 
 
-def run_fresh(code, *flags):
+def run_fresh(code, *flags, hash_seed=None):
     """Run code in a new interpreter that imports the package under test and
-    the frozen copies."""
+    the frozen copies, with the given PYTHONHASHSEED if one is given."""
     paths = (Path(centdim.__file__).resolve().parent.parent, Path(__file__).resolve().parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, paths))}
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = str(hash_seed)
     return subprocess.run(
         [sys.executable, *flags, "-c", code],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(map(str, paths))},
+        env=env,
         timeout=60,
     )
 
@@ -257,6 +276,102 @@ def test_step_memo_takes_only_checked_shapes_in_a_fresh_process():
         "grown": 0,
         "new misses": 0,
     }
+
+
+BRANCH_MEMO_PROBE = """
+from decimal import Decimal
+from fractions import Fraction
+
+import seed_reference as ref
+from centdim.branch import AltLabel
+from centdim.bratteli import _inductions, _restriction, build_diagram
+
+
+def memo_info():
+    return [(f.cache_info().currsize, f.cache_info().misses) for f in (_restriction, _inductions)]
+
+
+def odd_outcomes():
+    out = []
+    for group in ("S", "A"):
+        for n in (8.0, Fraction(8), Decimal(8)):
+            for twice in (0, 1, 2):
+                try:
+                    build_diagram(group, n, "perm", Fraction(twice, 2))
+                    out.append("built")
+                except ValueError as exc:
+                    out.append(str(exc))
+    return out
+
+
+def tower(group, module, n, twice):
+    diagram = build_diagram(group, n, module, Fraction(twice, 2))
+    return diagram.rows, diagram.edges
+
+
+report = {"cold": memo_info(), "odd before warming": odd_outcomes()}
+report["cold after odd"] = memo_info()
+first = {}
+report["unlike reference"] = []
+for group, module, n, twice in GRID:
+    first[group, module, n, twice] = built = tower(group, module, n, twice)
+    old = ref.build_diagram(group, n, module, Fraction(twice, 2))
+    if built != (old.rows, old.edges):
+        report["unlike reference"].append((group, module, n, twice))
+warm = memo_info()
+report["odd after warming"] = odd_outcomes()
+report["types"] = [type(_restriction("S", (8,))).__name__,
+                   type(_inductions("S", (7,), 8)).__name__,
+                   type(_restriction("A", AltLabel((8,)))).__name__]
+report["rebuilt unlike first"] = [key for key in GRID if tower(*key) != first[key]]
+report["grown"] = [(size - s0, miss - m0) for (size, miss), (s0, m0) in zip(memo_info(), warm)]
+report["warm"] = warm
+print(repr(report))
+"""
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+def test_branch_memo_takes_only_checked_roots_in_a_fresh_process(order):
+    # (8.0,) == (8,) and both hash alike: once the integer tower is in the
+    # memo, only the root check keeps a float, Fraction or Decimal n out.
+    grid = EXPORT_GRID if order == "ascending" else EXPORT_GRID[::-1]
+    proc = run_fresh(f"GRID = {grid!r}\n" + BRANCH_MEMO_PROBE)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = ast.literal_eval(proc.stdout)
+    odd = [
+        f"not a valid partition: ({n!r},)"
+        for _ in ("S", "A")
+        for n in (8.0, Fraction(8), Decimal(8))
+        for _ in range(3)
+    ]
+    warm = report.pop("warm")
+    assert all(size > 0 for size, _ in warm), warm
+    assert report == {
+        "cold": [(0, 0), (0, 0)],
+        "odd before warming": odd,
+        "cold after odd": [(0, 0), (0, 0)],
+        "unlike reference": [],
+        "odd after warming": odd,
+        "types": ["tuple", "tuple", "tuple"],
+        "rebuilt unlike first": [],
+        "grown": [(0, 0), (0, 0)],
+    }
+
+
+def test_alt_label_hash_survives_a_pickle_between_processes():
+    # A stored hash must not travel in a pickle: str hashes differ between
+    # processes, as they do under these two hash seeds.
+    head = "import pickle, sys\nfrom centdim.branch import AltLabel\nlabel = AltLabel((2, 2), '+')\n"
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        dumped = run_fresh(
+            head + f"print(pickle.dumps(label, {protocol}).hex())", hash_seed=1
+        )
+        loaded = run_fresh(
+            head + f"x = pickle.loads(bytes.fromhex({dumped.stdout.strip()!r}))\n"
+            "print(x in {label}, hash(x) == hash(label))",
+            hash_seed=2,
+        )
+        assert (loaded.stdout, loaded.stderr) == ("True True\n", ""), protocol
 
 
 small_shape = st.lists(st.integers(min_value=-1, max_value=4), max_size=4).map(tuple)
