@@ -24,13 +24,10 @@ _EXPORTS = {
         "stirling2",
     ),
     "young": (
-        "Dominance",
         "conjugate",
-        "dominance_compare",
         "format_partition",
         "hook_length",
         "involutions_with_fixed_points",
-        "kostka",
         "kostka_hook_type",
         "num_skew_syt",
         "num_syt",

@@ -4,7 +4,6 @@ Partitions are tuples of weakly decreasing positive ints; () is the empty
 partition. Text form is comma-separated parts ("3,1,1") with "empty" for ().
 """
 
-import enum
 from functools import cache
 from math import factorial
 from operator import neg
@@ -55,44 +54,6 @@ def conjugate(lam):
     if not lam:
         return ()
     return tuple(sum(1 for p in lam if p >= c) for c in range(1, lam[0] + 1))
-
-
-class Dominance(enum.Enum):
-    LESS = "less"
-    EQUAL = "equal"
-    GREATER = "greater"
-    INCOMPARABLE = "incomparable"
-
-
-def dominance_compare(lam, mu):
-    """Compare partitions of the same size in the dominance order.
-
-    Uses partial sums, not lexicographic order: lam dominates mu when every
-    prefix sum of lam is >= the matching prefix sum of mu. Unequal sizes are
-    a domain error since dominance only relates partitions of equal weight.
-    """
-    lam, mu = tuple(lam), tuple(mu)
-    if sum(lam) != sum(mu):
-        raise ValueError(
-            f"dominance is only defined for equal sizes: |{lam}| != |{mu}|"
-        )
-    length = max(len(lam), len(mu))
-    geq = leq = True
-    a = b = 0
-    for i in range(length):
-        a += lam[i] if i < len(lam) else 0
-        b += mu[i] if i < len(mu) else 0
-        if a < b:
-            geq = False
-        if a > b:
-            leq = False
-    if geq and leq:
-        return Dominance.EQUAL
-    if geq:
-        return Dominance.GREATER
-    if leq:
-        return Dominance.LESS
-    return Dominance.INCOMPARABLE
 
 
 def hook_length(lam, row, col):
@@ -150,69 +111,39 @@ def num_skew_syt(outer, inner=()):
     return total
 
 
-def _horizontal_strip_predecessors(lam, size):
-    """All mu inside lam with lam/mu a horizontal strip of the given size.
-
-    Interlacing characterization: lam[i+1] <= mu[i] <= lam[i] for all rows.
-    """
-    results = []
-    row_count = len(lam)
-
-    def rec(i, removed, prefix):
-        if removed > size:
-            return
-        if i == row_count:
-            if removed == size:
-                mu = tuple(p for p in prefix if p > 0)
-                results.append(mu)
-            return
-        low = lam[i + 1] if i + 1 < row_count else 0
-        for mu_i in range(lam[i], low - 1, -1):
-            rec(i + 1, removed + lam[i] - mu_i, prefix + (mu_i,))
-
-    rec(0, 0, ())
-    return results
-
-
-@cache
-def kostka(lam, content):
-    """Kostka number: semistandard tableaux of shape lam and given content.
-
-    content is any tuple of nonnegative ints summing to |lam| (entry i appears
-    content[i-1] times). Computed by stripping the largest entry, which must
-    occupy a horizontal strip.
-    """
-    lam = tuple(lam)
-    content = tuple(content)
-    if sum(lam) != sum(content):
-        raise ValueError(f"content {content} does not sum to |{lam}| = {sum(lam)}")
-    if not content:
-        return 1 if not lam else 0
-    total = 0
-    for mu in _horizontal_strip_predecessors(lam, content[-1]):
-        total += kostka(mu, content[:-1])
-    return total
-
-
 def kostka_hook_type(lam, n, t):
     """Kostka number of lam against the hook type (n-t, 1^t).
 
-    t = n-1 and t = n both mean the type (1^n). Computed through skew
-    standard tableaux: the value equals the number of standard tableaux of
-    lam with the first n-t cells lying in row one, which is f^(lam/(n-t)).
-    The general kostka() routine serves as an independent cross-check in the
-    test suite.
+    lam must be a partition of n; only its size is checked, since this runs
+    once per term of every block dimension. t = n-1 and t = n both mean the
+    type (1^n). The value is the number of standard tableaux of lam with the
+    first a = n-t cells lying in row one, f^(lam/(a)). Aitken's determinant
+    for that skew shape has one column that depends on a; expanding along
+    it, with 0-based rows i,
+
+        K = sum_i (-1)^i C(t, n - lam_i + i) f^(mu_i),
+        mu_i = (lam_0 + 1, ..., lam_(i-1) + 1, lam_(i+1), ...),
+
+    where |mu_i| = n - lam_i + i and the binomial vanishes from the first row
+    with lam_i - i < a on. The i = 0 term C(t, n - lam_0) f^(lam_1, ...) is
+    the stable-range term, and the whole sum once a >= lam_1. The mu_i do
+    not depend on t, so num_syt's memo is the only per-shape state.
+    num_skew_syt counts the same skew shape independently and serves as the
+    reference in the test suite.
     """
     lam = tuple(lam)
     if sum(lam) != n:
         raise ValueError(f"expected a partition of {n}, got {lam}")
     if t < 0 or t > n:
         raise ValueError(f"hook parameter t = {t} outside 0..{n}")
-    first = lam[0] if lam else 0
-    if t < n - first:
-        return 0
-    inner = (n - t,) if t < n else ()
-    return num_skew_syt(lam, inner)
+    a = n - t
+    total = 0 if lam else 1
+    for i, part in enumerate(lam):
+        if part - i < a:
+            break
+        mu = tuple(p + 1 for p in lam[:i]) + lam[i + 1 :]
+        total += (-1) ** i * binomial(t, n - part + i) * num_syt(mu)
+    return total
 
 
 @cache

