@@ -150,8 +150,8 @@ def _step_cell(down, up):
 
 
 def check_path(path, n):
-    """Validate a vacillating walk; returns its shapes as tuples of tuples
-    and, for each step, the 1-based cell it removes or adds."""
+    """Validate a vacillating walk; returns, for each step, the 1-based cell
+    it removes or adds."""
     shapes = tuple(tuple(p) for p in path)
     if len(shapes) % 2 == 0 or not shapes:
         raise ValueError("malformed path: need shapes at levels 0, 1/2, ..., k")
@@ -172,7 +172,7 @@ def check_path(path, n):
             f"malformed path: step {i} must {verb} one cell "
             f"({shapes[i - 1]} -> {shapes[i]})"
         )
-    return shapes, cells
+    return cells
 
 
 def path_to_pair(path, n):
@@ -181,7 +181,7 @@ def path_to_pair(path, n):
     The walk is validated once; the replay reuses the cells validation
     found and edits one mutable tableau in place.
     """
-    _, cells = check_path(path, n)
+    cells = check_path(path, n)
     work = [[0] * n]
     blocks = []
     by_max = {}  # each open block, keyed by its current maximum

@@ -47,9 +47,6 @@ class AltLabel:
     sign: '+', '-' for the two halves of a split label, None otherwise.
 
     Immutable; equal and hashed by (base, sign), and equal only to labels.
-    The hash is computed once, at construction, and again when a label is
-    copied or unpickled: str hashes differ between processes, so a stored
-    hash must not travel in a pickle.
     """
 
     __match_args__ = ("base", "sign")
@@ -69,7 +66,6 @@ class AltLabel:
             )
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "_hash", hash((base, sign)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -83,13 +79,7 @@ class AltLabel:
         return (self.base, self.sign) == (other.base, other.sign)
 
     def __hash__(self):
-        return self._hash
-
-    def __getstate__(self):
-        return {"base": self.base, "sign": self.sign}
-
-    def __setstate__(self, state):
-        self.__init__(state["base"], state["sign"])
+        return hash((self.base, self.sign))
 
     @property
     def size(self):
@@ -134,22 +124,23 @@ def restrict_sym(lam):
     """Restriction of the S_n irreducible lam to S_{n-1}.
 
     Returns the partitions obtained by removing one corner cell, in
-    decreasing lexicographic order (the branching rule is multiplicity-free).
+    decreasing lexicographic order (a lower corner leaves a larger shape, so
+    rows are walked bottom up); the branching rule is multiplicity-free.
     """
     lam = check_partition(lam)
     if not lam:
         raise ValueError("cannot restrict the empty partition")
     out = []
-    for i, part in enumerate(lam):
+    for i, part in reversed(list(enumerate(lam))):
         below = lam[i + 1] if i + 1 < len(lam) else 0
         if part > below:
             out.append(lam[:i] + ((part - 1,) if part > 1 else ()) + lam[i + 1 :])
-    out.sort(key=partition_sort_key)
     return out
 
 
 def induce_sym(mu, n):
-    """Induction of the S_{n-1} irreducible mu to S_n: add one cell."""
+    """Induction of the S_{n-1} irreducible mu to S_n: add one cell. A higher
+    cell gives a larger shape, so rows walked top down give display order."""
     mu = check_partition(mu) if mu else ()
     if sum(mu) != n - 1:
         raise ValueError(f"expected a partition of {n - 1}, got {mu}")
@@ -159,7 +150,6 @@ def induce_sym(mu, n):
         here = mu[i] if i < len(mu) else 0
         if above is None or above > here:
             out.append(mu[:i] + (here + 1,) + mu[i + 1 :])
-    out.sort(key=partition_sort_key)
     return out
 
 

@@ -22,11 +22,10 @@ reuse them. The memo only ever sees labels reached from a root that
 passed check_partition: (8.0,) == (8,) and both hash alike, so an
 unchecked root could read the integer tower's entries.
 
-The JSON export is written directly, line for line in the layout that
-json.dumps(doc, indent=2) gives the document, with each label formatted
-and escaped once per export; json.dumps with indent runs the pure-Python
-encoder, which cost several times the rest of an export. The DOT export
-likewise formats each label once.
+Every export formats each distinct label once. The JSON export is written
+directly, line for line in the layout json.dumps(doc, indent=2) gives the
+document: json.dumps with indent runs the pure-Python encoder, which cost
+several times the rest of an export.
 """
 
 import json
@@ -191,10 +190,7 @@ def enumerate_paths(diagram, level, label):
     vertex, at a fraction of the partial paths.
     """
     idx = diagram._row_index(level)
-    if all(lab != label for lab, _ in diagram.rows[idx]):
-        raise ValueError(
-            f"no vertex {format_label(label)} at level {format_level(Fraction(level))}"
-        )
+    diagram.vertex_count(level, label)  # raises when the row lacks the vertex
     ancestors = [None] * (idx + 1)
     ancestors[idx] = {label}
     for i in range(idx, 0, -1):
@@ -225,11 +221,12 @@ def export(diagram, fmt):
 
 
 def _export_text(diagram):
+    names = _label_texts(diagram, format_label)
     lines = []
     prefixes = [f"l={format_level(lv)}" for lv in diagram.levels()]
     width = max(len(p) for p in prefixes) + 2
     for prefix, row in zip(prefixes, diagram.rows):
-        cells = " ".join(f"[{format_label(lab)}]:{count}" for lab, count in row)
+        cells = " ".join(f"[{names[lab]}]:{count}" for lab, count in row)
         total = row_square_sum(row)
         lines.append(f"{prefix.ljust(width)}{cells} | {total}")
     return "\n".join(lines) + "\n"
@@ -239,7 +236,7 @@ def _export_json(diagram):
     """The text json.dumps(doc, indent=2) gives the tower's document, with
     "pair", "module" and, per row, "level", "vertices", "edges" and
     "squareSum"; counts and square sums are strings."""
-    quoted = _LabelTexts(_quoted_label)
+    quoted = _label_texts(diagram, lambda label: json.dumps(format_label(label)))
     levels = []
     for i, row in enumerate(diagram.rows):
         vertices = ",\n".join(
@@ -275,21 +272,11 @@ def _export_json(diagram):
     )
 
 
-class _LabelTexts(dict):
-    """Label -> render(label), rendered on first use, so that an export
-    formats each label once however many rows and edges show it."""
-
-    def __init__(self, render):
-        super().__init__()
-        self.render = render
-
-    def __missing__(self, label):
-        text = self[label] = self.render(label)
-        return text
-
-
-def _quoted_label(label):
-    return json.dumps(format_label(label))
+def _label_texts(diagram, render):
+    """Label -> render(label) for each distinct label of the diagram, so that
+    an export formats each label once however many rows and edges show it."""
+    labels = {lab for row in diagram.rows for lab, _ in row}
+    return {lab: render(lab) for lab in labels}
 
 
 def _json_list(items, indent="      "):
@@ -298,7 +285,7 @@ def _json_list(items, indent="      "):
 
 
 def _export_dot(diagram):
-    names = _LabelTexts(format_label)
+    names = _label_texts(diagram, format_label)
     lines = [f'digraph "{diagram.group}:{diagram.n}-{diagram.module}" {{']
     lines.append("  rankdir=TB;")
     for i, row in enumerate(diagram.rows):

@@ -213,19 +213,21 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    dim = sub.add_parser("dim", help="dimension of one irreducible block")
-    dim.add_argument("--group", choices=("S", "A"), required=True)
-    dim.add_argument("--module", choices=("perm", "refl"), required=True)
-    dim.add_argument("--n", type=int, required=True)
-    dim.add_argument("--k", required=True, help="level: 3, 7/2, or 3.5")
+    block_flags = argparse.ArgumentParser(add_help=False)
+    block_flags.add_argument("--group", choices=("S", "A"), required=True)
+    block_flags.add_argument("--module", choices=("perm", "refl"), required=True)
+    block_flags.add_argument("--n", type=int, required=True)
+    block_flags.add_argument("--k", required=True, help="level: 3, 7/2, or 3.5")
+
+    dim = sub.add_parser(
+        "dim", parents=[block_flags], help="dimension of one irreducible block"
+    )
     dim.add_argument("--lambda", dest="label", required=True, help="block label")
     dim.set_defaults(handler=_cmd_dim)
 
-    dec = sub.add_parser("decompose", help="all nonzero blocks at a level")
-    dec.add_argument("--group", choices=("S", "A"), required=True)
-    dec.add_argument("--module", choices=("perm", "refl"), required=True)
-    dec.add_argument("--n", type=int, required=True)
-    dec.add_argument("--k", required=True, help="level: 3, 7/2, or 3.5")
+    dec = sub.add_parser(
+        "decompose", parents=[block_flags], help="all nonzero blocks at a level"
+    )
     dec.add_argument("--format", choices=("text", "json", "csv"), default="text")
     dec.set_defaults(handler=_cmd_decompose)
 

@@ -13,7 +13,7 @@ Two kinds of evidence, kept deliberately redundant with the test suite:
 from fractions import Fraction
 
 from .bratteli import build_diagram, format_label, row_square_sum
-from .dims import GroupModuleContext, block_dimension, labels_for
+from .dims import GroupModuleContext, block_dimension, format_level, labels_for
 from .oracle import multiplicity_oracle
 
 # Every subscript of the six reference towers. Rows are (label, count) in
@@ -243,10 +243,6 @@ GOLDEN = [
 ]
 
 
-def _level_text(i):
-    return str(Fraction(i, 2))
-
-
 def run_golden():
     """Compare each reference tower against a rebuilt diagram.
 
@@ -258,21 +254,20 @@ def run_golden():
             table["group"], table["n"], table["module"], table["max_level"]
         )
         problems = []
-        checked = 0
         for i, row in enumerate(diagram.rows):
+            level = format_level(Fraction(i, 2))
             got = [(format_label(lab), count) for lab, count in row]
-            want = table["rows"][_level_text(i)]
+            want = table["rows"][level]
             if got != want:
-                problems.append(f"row {_level_text(i)}: {got} != {want}")
+                problems.append(f"row {level}: {got} != {want}")
             total = row_square_sum(row)
             if total != table["totals"][i]:
                 problems.append(
-                    f"square sum at {_level_text(i)}: {total} != {table['totals'][i]}"
+                    f"square sum at {level}: {total} != {table['totals'][i]}"
                 )
-            checked += 1
         if len(diagram.rows) != len(table["totals"]):
             problems.append("row count mismatch")
-        detail = problems[0] if problems else f"{checked} rows"
+        detail = problems[0] if problems else f"{len(diagram.rows)} rows"
         results.append((f"golden {table['name']}", not problems, detail))
     return results
 

@@ -71,10 +71,11 @@ def num_syt(lam):
     """Number of standard Young tableaux of shape lam, by the hook formula."""
     lam = check_partition(lam)
     n = sum(lam)
+    cols = conjugate(lam)
     denom = 1
-    for r in range(1, len(lam) + 1):
-        for c in range(1, lam[r - 1] + 1):
-            denom *= hook_length(lam, r, c)
+    for i, part in enumerate(lam):
+        for j in range(part):
+            denom *= part - j + cols[j] - i - 1  # arm + leg + 1 at (i, j)
     if factorial(n) % denom:
         raise RuntimeError(f"hook product {denom} of {lam} does not divide {n}!")
     return factorial(n) // denom

@@ -243,6 +243,69 @@ def test_verify_command(capsys):
     assert out.splitlines()[-1] == "summary: 4 suites, 0 failures"
 
 
+def test_verify_reports_an_oracle_mismatch(capsys, monkeypatch):
+    from centdim import verify
+
+    real = verify.block_dimension
+
+    def off_by_one(ctx, label):
+        bump = (ctx.group, ctx.module, label) == ("S", "refl", (2, 1))
+        return real(ctx, label) + bump
+
+    monkeypatch.setattr(verify, "block_dimension", off_by_one)
+    code, out, _ = run(
+        capsys, "verify", "--scope", "oracle", "--n-max", "3", "--k-max", "1"
+    )
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 5
+    assert "oracle S refl: FAIL (n=3 level=0 label=2,1: formula 1, oracle 0)" in lines
+    for suite in ("S perm", "A perm", "A refl"):
+        pattern = rf"oracle {suite}: PASS \(\d+ checks\)"
+        assert any(re.fullmatch(pattern, line) for line in lines), suite
+    assert lines[-1] == "summary: 4 suites, 1 failures"
+
+
+@pytest.mark.parametrize(
+    "tamper, detail",
+    [
+        ("count", "row 1/2: [('3', 2)] != [('3', 1)]"),
+        ("last-row", "row count mismatch"),
+    ],
+)
+def test_verify_reports_a_golden_mismatch(capsys, monkeypatch, tamper, detail):
+    # The square-sum check cannot fail on its own: the GOLDEN rows and totals
+    # agree, so a tower whose rows match has matching square sums too.
+    from centdim import verify
+
+    real = verify.build_diagram
+
+    def build(group, n, module, max_level):
+        diagram = real(group, n, module, max_level)
+        if (group, n, module) == ("S", 4, "perm"):
+            if tamper == "count":
+                diagram.rows[1] = [((3,), 2)]  # the level-1/2 count is 1
+            else:
+                diagram.rows.pop()
+        return diagram
+
+    monkeypatch.setattr(verify, "build_diagram", build)
+    code, out, _ = run(capsys, "verify", "--scope", "golden")
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 7
+    assert lines[0] == f"golden S:4 perm: FAIL ({detail})"
+    assert all(": PASS (" in line for line in lines[1:-1])
+    assert lines[-1] == "summary: 6 suites, 1 failures"
+
+
+def test_verify_refuses_an_unknown_scope():
+    from centdim import verify
+
+    with pytest.raises(ValueError, match="unknown verify scope 'bogus'"):
+        verify.run("bogus")
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 

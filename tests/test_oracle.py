@@ -140,7 +140,7 @@ def test_oracle_matches_formulas_small_sweep():
     # the heavy sweep lives in the acceptance suite; spot-check a lattice here
     for group in ("S", "A"):
         for module in ("perm", "refl"):
-            for n in (2, 4, 5):
+            for n in (1, 2, 3, 4, 5):
                 for twice in range(7):
                     c = GroupModuleContext(group, n, module, Fraction(twice, 2))
                     for label in labels_for(c):

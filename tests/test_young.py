@@ -112,8 +112,15 @@ def test_num_syt_small_shapes_brute_force():
 
 
 def test_num_syt_squares_sum_to_factorial():
-    for n in range(9):
+    for n in range(15):
         assert sum(num_syt(lam) ** 2 for lam in partitions_of(n)) == factorial(n)
+    for n in range(13):
+        for lam in partitions_of(n):
+            hooks = 1
+            for row, part in enumerate(lam, 1):
+                for col in range(1, part + 1):
+                    hooks *= hook_length(lam, row, col)
+            assert num_syt(lam) * hooks == factorial(n), lam
 
 
 def test_num_skew_syt_examples():
