@@ -11,8 +11,6 @@ import importlib
 
 __version__ = "0.1.0"
 
-_SUBMODULES = ("arith", "young", "branch", "dims", "bratteli", "bijection", "oracle")
-
 _EXPORTS = {
     "arith": (
         "bell",
@@ -73,11 +71,11 @@ _EXPORTS = {
 
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = sorted([*_HOME, *_SUBMODULES])
+__all__ = sorted([*_HOME, *_EXPORTS])
 
 
 def __getattr__(name):
-    if name in _SUBMODULES:
+    if name in _EXPORTS:
         value = importlib.import_module(f".{name}", __name__)
     elif name in _HOME:
         value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)

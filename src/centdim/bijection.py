@@ -28,6 +28,7 @@ blocks ordered by minimum.
 
 from bisect import bisect_left, bisect_right
 from functools import cache
+from itertools import zip_longest
 
 from .young import is_partition
 
@@ -119,24 +120,15 @@ def _one_box_difference(bigger, smaller):
     """The 1-based (row, col) of the single cell in bigger but not smaller,
     or None when the shapes do not differ by exactly one cell. Both are
     tuples; smaller reads as padded with zeros to the length of bigger."""
-    size = len(smaller)
-    if size > len(bigger):
+    if len(smaller) > len(bigger):
         return None
-    for i in range(size):
-        a, b = bigger[i], smaller[i]
+    cell = None
+    for i, (a, b) in enumerate(zip_longest(bigger, smaller, fillvalue=0)):
         if a != b:
-            if a != b + 1:
+            if a != b + 1 or cell:
                 return None
-            if bigger[i + 1 : size] != smaller[i + 1 :] or any(bigger[size:]):
-                return None
-            return (i + 1, a)
-    for i in range(size, len(bigger)):
-        a = bigger[i]
-        if a:
-            if a != 1 or any(bigger[i + 1 :]):
-                return None
-            return (i + 1, a)
-    return None
+            cell = (i + 1, a)
+    return cell
 
 
 @cache
@@ -152,6 +144,7 @@ def _step_cell(down, up):
 def check_path(path, n):
     """Validate a vacillating walk; returns, for each step, the 1-based cell
     it removes or adds."""
+    _check_n(n)
     shapes = tuple(tuple(p) for p in path)
     if len(shapes) % 2 == 0 or not shapes:
         raise ValueError("malformed path: need shapes at levels 0, 1/2, ..., k")
@@ -206,7 +199,13 @@ def path_to_pair(path, n):
     return tuple(tuple(b) for b in blocks), tuple(tuple(r) for r in work)
 
 
+def _check_n(n):
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
+
+
 def _check_pair(blocks, tableau, n):
+    _check_n(n)
     blocks = tuple([tuple(sorted(b)) for b in blocks])
     members = []
     for b in blocks:

@@ -45,12 +45,6 @@ from .dims import check_level, check_scale, format_level
 from .young import check_partition, partition_sort_key
 
 
-def _sort_key(label):
-    if isinstance(label, AltLabel):
-        return label.sort_key()
-    return (partition_sort_key(label), 0)
-
-
 class BratteliDiagram:
     """Levels, labeled vertices with subscripts, and edges between rows.
 
@@ -137,8 +131,10 @@ def build_diagram(group, n, module, max_level):
 
     if group == "S":
         root = check_partition((n,))
+        sort_key = partition_sort_key
     else:
         (root,) = restrict_sym_to_alt((n,))
+        sort_key = AltLabel.sort_key
     rows = [[(root, 1)]]
     edges = [[]]
 
@@ -160,7 +156,7 @@ def build_diagram(group, n, module, max_level):
 
         row = []
         row_edges = []
-        for vert in sorted(neighbors, key=_sort_key):
+        for vert in sorted(neighbors, key=sort_key):
             labs = neighbors[vert]
             count = sum(above_counts[lab] for lab in labs) - two_up.get(vert, 0)
             if count < 0:

@@ -280,4 +280,4 @@ def entry():
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    entry()

@@ -3,6 +3,9 @@
 * The first, quadratic tower builder and walk replay. The package's
   build_diagram and bijection replay now do one branching call per vertex
   and one validating pass per walk.
+* _sort_key as it was, the frozen tower builder's row order, choosing the
+  key per vertex by its type. The package's build_diagram picks the key
+  once per build from the group.
 * is_semistandard as it was, with generator passes.
 * enumerate_paths as it was, extending paths to every vertex of every row.
   The package's walks only the target's ancestors.
@@ -50,7 +53,7 @@ from functools import cache
 
 from centdim.arith import bell_restricted, binomial
 from centdim.bijection import tableau_shape
-from centdim.bratteli import BratteliDiagram, _sort_key, format_label, row_square_sum
+from centdim.bratteli import BratteliDiagram, format_label, row_square_sum
 from centdim.branch import (
     _SIGN_ORDER,
     AltLabel,
@@ -71,6 +74,12 @@ from centdim.young import (
     partition_sort_key,
     partitions_of,
 )
+
+
+def _sort_key(label):
+    if isinstance(label, AltLabel):
+        return label.sort_key()
+    return (partition_sort_key(label), 0)
 
 
 def _restriction(group, label):

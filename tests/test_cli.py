@@ -236,6 +236,9 @@ def test_verify_command(capsys):
     lines = out.splitlines()
     assert lines[-1] == "summary: 6 suites, 0 failures"
     assert "golden S:4 perm: PASS (9 rows)" in lines
+    # the golden suites ignore the oracle's window, even an empty one
+    empty = ("--n-max", "0", "--k-max", "-1")
+    assert run(capsys, "verify", "--scope", "golden", *empty)[:2] == (code, out)
     code, out, _ = run(
         capsys, "verify", "--scope", "oracle", "--n-max", "4", "--k-max", "2"
     )
@@ -271,11 +274,12 @@ def test_verify_reports_an_oracle_mismatch(capsys, monkeypatch):
     [
         ("count", "row 1/2: [('3', 2)] != [('3', 1)]"),
         ("last-row", "row count mismatch"),
+        ("extra-row", "row count mismatch"),
     ],
 )
 def test_verify_reports_a_golden_mismatch(capsys, monkeypatch, tamper, detail):
-    # The square-sum check cannot fail on its own: the GOLDEN rows and totals
-    # agree, so a tower whose rows match has matching square sums too.
+    # The rows both sides have are compared first, so a tower built one row
+    # too deep reports the row count rather than a missing GOLDEN level.
     from centdim import verify
 
     real = verify.build_diagram
@@ -285,8 +289,10 @@ def test_verify_reports_a_golden_mismatch(capsys, monkeypatch, tamper, detail):
         if (group, n, module) == ("S", 4, "perm"):
             if tamper == "count":
                 diagram.rows[1] = [((3,), 2)]  # the level-1/2 count is 1
-            else:
+            elif tamper == "last-row":
                 diagram.rows.pop()
+            else:
+                diagram.rows.append([((3,), 1)])
         return diagram
 
     monkeypatch.setattr(verify, "build_diagram", build)
@@ -297,6 +303,50 @@ def test_verify_reports_a_golden_mismatch(capsys, monkeypatch, tamper, detail):
     assert lines[0] == f"golden S:4 perm: FAIL ({detail})"
     assert all(": PASS (" in line for line in lines[1:-1])
     assert lines[-1] == "summary: 6 suites, 1 failures"
+
+
+@pytest.mark.parametrize(
+    "window, got",
+    [
+        (["--scope", "oracle", "--n-max", "1"], "1 and 4"),
+        (["--scope", "all", "--n-max", "0"], "0 and 4"),
+        (["--k-max", "-1"], "6 and -1"),
+        (["--scope", "oracle", "--n-max", "-1", "--k-max", "-1"], "-1 and -1"),
+    ],
+)
+def test_verify_refuses_a_window_without_checks(capsys, monkeypatch, window, got):
+    from centdim import verify
+
+    def unreachable(*args):
+        raise AssertionError("verify did work before refusing its window")
+
+    monkeypatch.setattr(verify, "build_diagram", unreachable)
+    monkeypatch.setattr(verify, "block_dimension", unreachable)
+    code, out, err = run(capsys, "verify", *window)
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: empty oracle window: need n_max >= 2 and k_max >= 0, got {got}\n"
+    )
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize(
+    "direction, doc",
+    [
+        ("to-pair", '{"path":[[]]}'),
+        ("to-pair", '{"path":[[0]]}'),
+        ("to-pair", '{"path":[[4]]}'),
+        ("to-pair", '{"path":[[4],[3],[4]]}'),
+        ("to-path", '{"setPartition":[],"tableau":[[]]}'),
+        ("to-path", '{"setPartition":[[1]],"tableau":[[1]]}'),
+    ],
+)
+def test_bijection_refuses_n_below_one(capsys, n, direction, doc):
+    code, out, err = run(
+        capsys, "bijection", "--n", n, "--direction", direction, "--input", doc
+    )
+    assert (code, out) == (3, "")
+    assert err == f"error: n must be a positive integer, got {n}\n"
 
 
 def test_verify_refuses_an_unknown_scope():

@@ -7,7 +7,7 @@ from itertools import permutations
 import pytest
 
 from centdim import oracle
-from centdim.branch import alt_labels
+from centdim.branch import AltLabel, alt_labels
 from centdim.dims import GroupModuleContext, block_dimension, labels_for
 from centdim.oracle import (
     ScaleExceeded,
@@ -147,6 +147,31 @@ def test_oracle_matches_formulas_small_sweep():
                         assert multiplicity_oracle(c, label) == block_dimension(
                             c, label
                         ), (group, module, n, twice, label)
+
+
+@pytest.mark.parametrize(
+    "group, level, label",
+    [
+        ("S", Fraction(2), ()),
+        ("S", Fraction(2), (3,)),
+        ("S", Fraction(2), (3, 2)),
+        ("S", Fraction(5, 2), (4,)),
+        ("S", Fraction(5, 2), (1, 1)),
+        ("A", Fraction(2), AltLabel((3,))),
+        ("A", Fraction(2), AltLabel((2, 1), "+")),
+        ("A", Fraction(5, 2), AltLabel((4,))),
+        ("A", Fraction(5, 2), AltLabel((2, 2), "-")),
+    ],
+)
+def test_oracle_refuses_wrong_size_labels_like_the_formulas(group, level, label):
+    # the oracle restates the formulas' label-size rule rather than import it
+    ctx = GroupModuleContext(group, 4, "perm", level)
+    with pytest.raises(ValueError) as formula:
+        block_dimension(ctx, label)
+    with pytest.raises(ValueError) as by_characters:
+        multiplicity_oracle(ctx, label)
+    assert str(by_characters.value) == str(formula.value)
+    assert str(formula.value).startswith("expected a ")
 
 
 def test_pair_count_examples():
