@@ -15,12 +15,14 @@ reinserting 0 for a singleton block and the second-largest member
 otherwise.
 
 Each direction validates its input once (check_path's rules for a walk,
-the pair checks for a pair) and then replays on one mutable tableau,
-finding blocks by their current maximum, so a walk of length 2k costs
-O(k) row operations after that single validating pass. check_path checks
-every shape with is_partition first and only then looks up each step's
-cell in a memo keyed on the (validated) shape pair, so walks that share a
-step diff its two shapes once.
+the pair checks for a pair) and then replays on one mutable tableau, so a
+walk of length 2k costs O(k) row operations after that single validating
+pass. check_path first checks in one pass that every entry of the walk is
+of type int, and then looks up each remove/add step pair in a memo keyed
+on its three shapes, which checks them with is_partition and diffs them
+once per process. A walk that fails the type check or a lookup goes
+through the rules one by one, and only that route raises. pair_to_path
+reinserts each entry's predecessor in its block, read from one table.
 
 Tableaux are tuples of tuples of ints; set partitions are tuples of tuples,
 blocks ordered by minimum.
@@ -28,7 +30,7 @@ blocks ordered by minimum.
 
 from bisect import bisect_left, bisect_right
 from functools import cache
-from itertools import zip_longest
+from itertools import chain, zip_longest
 
 from .young import is_partition
 
@@ -58,15 +60,15 @@ def is_semistandard(rows):
 
 def _insert(work, value):
     """Row-insert value into a list-of-lists tableau in place; returns the
-    0-based (row, col) of the cell it adds."""
+    0-based row of the cell it adds, which ends that row."""
     for level, row in enumerate(work):
         j = bisect_right(row, value)
         if j == len(row):
             row.append(value)
-            return level, j
+            return level
         row[j], value = value, row[j]
     work.append([value])
-    return len(work) - 1, 0
+    return len(work) - 1
 
 
 def row_insert(rows, value):
@@ -77,8 +79,8 @@ def row_insert(rows, value):
     appends. 1-based cell coordinates.
     """
     work = [list(r) for r in rows]
-    row, col = _insert(work, value)
-    return tuple(tuple(r) for r in work), (row + 1, col + 1)
+    row = _insert(work, value)
+    return tuple(tuple(r) for r in work), (row + 1, len(work[row]))
 
 
 def _uninsert(work, r):
@@ -132,30 +134,51 @@ def _one_box_difference(bigger, smaller):
 
 
 @cache
-def _step_cell(down, up):
-    """_one_box_difference(down, up), memoized per shape pair.
+def _step(before, middle, after):
+    """One remove/add step pair of a walk: the row of the cell removed from
+    before and the (row, col) of the cell added to middle to reach after, or
+    None when a shape is not a partition or a half step does not move
+    exactly one cell. Memoized per shape triple.
 
-    Only for shapes that passed is_partition: (3, 1.0) == (3, 1) and both
-    hash alike, so a lookup on an unchecked shape could accept a float.
+    Only for shapes whose entries are all of type int: (3, 1.0) == (3, 1)
+    and both hash alike, so a lookup on other entries could accept a float.
     """
-    return _one_box_difference(down, up)
+    if not (is_partition(before) and is_partition(middle) and is_partition(after)):
+        return None
+    removed = _one_box_difference(before, middle)
+    added = _one_box_difference(after, middle)
+    if removed is None or added is None:
+        return None
+    return removed[0], added
 
 
 def check_path(path, n):
-    """Validate a vacillating walk; returns, for each step, the 1-based cell
-    it removes or adds."""
+    """Validate a vacillating walk; returns, for each remove/add step pair,
+    the row of the cell it removes and the 1-based cell it adds."""
     _check_n(n)
-    shapes = tuple(tuple(p) for p in path)
+    shapes = tuple(map(tuple, path))
     if len(shapes) % 2 == 0 or not shapes:
         raise ValueError("malformed path: need shapes at levels 0, 1/2, ..., k")
+    if shapes[0] == (n,) and set(map(type, chain.from_iterable(shapes))) <= {int}:
+        steps = list(map(_step, shapes[::2], shapes[1::2], shapes[2::2]))
+        if None not in steps:
+            return steps
+    return _check_path_in_order(shapes, n)
+
+
+def _check_path_in_order(shapes, n):
+    """check_path's rules one by one, unmemoized: every shape, then the
+    start, then every step. The first rule broken raises; a walk that breaks
+    none, such as one with bool entries, gets its step records."""
     for s in shapes:
-        if s and not is_partition(s):
+        if not is_partition(s):
             raise ValueError(f"malformed path: bad shape {s}")
     if shapes[0] != (n,):
         raise ValueError(f"malformed path: must start at ({n},)")
-    # every shape is a partition now, so the memo may be read
     cells = [
-        _step_cell(shapes[i - 1], shapes[i]) if i % 2 else _step_cell(shapes[i], shapes[i - 1])
+        _one_box_difference(shapes[i - 1], shapes[i])
+        if i % 2
+        else _one_box_difference(shapes[i], shapes[i - 1])
         for i in range(1, len(shapes))
     ]
     if None in cells:
@@ -165,21 +188,21 @@ def check_path(path, n):
             f"malformed path: step {i} must {verb} one cell "
             f"({shapes[i - 1]} -> {shapes[i]})"
         )
-    return cells
+    return [(cells[i][0], cells[i + 1]) for i in range(0, len(cells), 2)]
 
 
 def path_to_pair(path, n):
     """Replay a walk into its (set partition, zeroed tableau) pair.
 
-    The walk is validated once; the replay reuses the cells validation
-    found and edits one mutable tableau in place.
+    The walk is validated once; the replay reuses the step records
+    validation found and edits one mutable tableau in place.
     """
-    cells = check_path(path, n)
+    steps = check_path(path, n)
     work = [[0] * n]
     blocks = []
     by_max = {}  # each open block, keyed by its current maximum
-    for i in range(1, len(cells) // 2 + 1):
-        ejected = _uninsert(work, cells[2 * i - 2][0])
+    for i, (removed, (row, col)) in enumerate(steps, 1):
+        ejected = _uninsert(work, removed)
         if ejected == 0:
             home = [i]
             blocks.append(home)
@@ -189,14 +212,13 @@ def path_to_pair(path, n):
                 raise RuntimeError(f"ejected value {ejected} is not a block maximum")
             home.append(i)
         by_max[i] = home
-        row, col = cells[2 * i - 1]
         if row == len(work) + 1:
             work.append([i])
         else:
             work[row - 1].append(i)
         if len(work[row - 1]) != col:
             raise RuntimeError(f"entry {i} missed the cell ({row},{col}) its step adds")
-    return tuple(tuple(b) for b in blocks), tuple(tuple(r) for r in work)
+    return tuple(map(tuple, blocks)), tuple(map(tuple, work))
 
 
 def _check_n(n):
@@ -239,7 +261,10 @@ def pair_to_path(blocks, tableau, n):
     blocks, rows, k = _check_pair(blocks, tableau, n)
     work = [list(r) for r in rows]
     shape = [len(r) for r in rows]  # row lengths of work, kept in step with it
-    by_max = {b[-1]: list(b) for b in blocks}
+    # each entry's predecessor in its block; a block minimum has none
+    before = {
+        upper: lower for b in blocks if len(b) > 1 for lower, upper in zip(b, b[1:])
+    }
     shapes = [tuple(shape)]
     for i in range(k, 0, -1):
         # i is the largest entry left and entries are distinct, so it ends
@@ -255,20 +280,14 @@ def pair_to_path(blocks, tableau, n):
             work.pop()
             shape.pop()
         shapes.append(tuple(shape))
-        home = by_max.pop(i)
-        if len(home) == 1:
-            reinsert = 0
-        else:
-            home.pop()
-            reinsert = home[-1]
-            by_max[reinsert] = home
-        r, _ = _insert(work, reinsert)
+        # i is its block's maximum once every larger entry has left, so the
+        # block's new maximum goes back in, or 0 when i was its only member
+        r = _insert(work, before.get(i, 0))
         if r == len(shape):
             shape.append(1)
         else:
             shape[r] += 1
         shapes.append(tuple(shape))
-    if shapes[-1] != (n,) or any(x for r in work for x in r):
+    if work != [[0] * n]:
         raise RuntimeError("reverse replay did not end at the one-row zero tableau")
     return tuple(reversed(shapes))
-

@@ -20,6 +20,10 @@ from .arith import set_partitions
 from .young import check_partition, partitions_of
 
 
+# conjugacy_classes lists the classes of S_n only up to this n
+MAX_N = 10
+
+
 class ScaleExceeded(ValueError):
     """Raised when an oracle is asked for more than it is sized to do."""
 
@@ -44,8 +48,8 @@ def conjugacy_classes(n, even_only=False):
     in S_n; splitting of A_n classes never matters here because the
     characters being integrated are restrictions from S_n.
     """
-    if not 1 <= n <= 10:
-        raise ValueError(f"conjugacy_classes: need 1 <= n <= 10, got {n}")
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"conjugacy_classes: need 1 <= n <= {MAX_N}, got {n}")
     out = []
     for ct in partitions_of(n):
         if even_only and (n - len(ct)) % 2:

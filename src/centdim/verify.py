@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .bratteli import build_diagram, format_label
 from .dims import GroupModuleContext, block_dimension, labels_for
-from .oracle import multiplicity_oracle
+from .oracle import MAX_N, multiplicity_oracle
 
 # Every subscript of the six reference towers, keyed by (group, n, module).
 # Rows are (label, count) in display order, keyed by level; the last key is
@@ -222,12 +222,15 @@ def run_oracle(n_max=6, k_max=4):
 
     Sweeps both groups, both modules, n from 2 to n_max, and every integer
     and half-integer level up to k_max. Returns one triple per
-    (group, module) suite. A window that holds no check is refused.
+    (group, module) suite. A window that holds no check, or that reaches
+    past the oracle's largest n, is refused before any suite runs.
     """
     if n_max < 2 or k_max < 0:
         raise ValueError(
             f"empty oracle window: need n_max >= 2 and k_max >= 0, got {n_max} and {k_max}"
         )
+    if n_max > MAX_N:
+        raise ValueError(f"oracle window too wide: need n_max <= {MAX_N}, got {n_max}")
     results = []
     for group in ("S", "A"):
         for module in ("perm", "refl"):

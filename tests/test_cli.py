@@ -329,6 +329,30 @@ def test_verify_refuses_a_window_without_checks(capsys, monkeypatch, window, got
     )
 
 
+@pytest.mark.parametrize(
+    "window, got",
+    [
+        (["--scope", "oracle", "--n-max", "11"], "11"),
+        (["--scope", "all", "--n-max", "12", "--k-max", "0"], "12"),
+        (["--n-max", "1000000"], "1000000"),
+    ],
+)
+def test_verify_refuses_a_window_past_the_oracle(capsys, monkeypatch, window, got):
+    # the S perm suite used to run before conjugacy_classes refused n = 11
+    from centdim import verify
+    from centdim.oracle import MAX_N
+
+    def unreachable(*args):
+        raise AssertionError("verify did work before refusing its window")
+
+    for name in ("build_diagram", "block_dimension", "multiplicity_oracle"):
+        monkeypatch.setattr(verify, name, unreachable)
+    code, out, err = run(capsys, "verify", *window)
+    assert (code, out) == (3, "")
+    assert err == f"error: oracle window too wide: need n_max <= {MAX_N}, got {got}\n"
+    assert MAX_N == 10
+
+
 @pytest.mark.parametrize("n", ["0", "-1"])
 @pytest.mark.parametrize(
     "direction, doc",

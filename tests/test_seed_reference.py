@@ -81,8 +81,10 @@ def test_enumerate_paths_matches_reference():
 
 
 def test_bijection_matches_reference():
+    # every walk to every vertex of the S perm towers n 2-8 up to level 5,
+    # which covers the towers the tower-walk benchmark walks (n 5-8)
     walks = 0
-    for n in range(2, 8):
+    for n in range(2, 9):
         diagram = build_diagram("S", n, "perm", Fraction(5))
         for level in range(6):
             for lab, _ in diagram.row(level):
@@ -92,7 +94,7 @@ def test_bijection_matches_reference():
                     walk = bijection.pair_to_path(*pair, n)
                     assert walk == ref.pair_to_path(*pair, n) == path
                     walks += 1
-    assert walks == 3996
+    assert walks == 5194
 
 
 # S/A x perm/refl, n from the group's minimum to 12, tops 0..6 by halves
@@ -184,6 +186,10 @@ ODD_PAIRS = [
     (((1,),), ((0, 0, 1.0),), 3),
     (((1,),), ((0.0, 0, 1),), 3),
     (((1, 2),), ((0.0, 2),), 2),
+    (((1, 2.0),), ((0, 2),), 2),
+    (((True, 2),), ((0, 2),), 2),
+    (((1, Fraction(2)), (3,)), ((0, 2, 3),), 3),
+    (((1, Decimal(2), 3),), ((0, 3),), 2),
 ]
 
 
@@ -219,7 +225,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import seed_reference as ref
-from centdim.bijection import _step_cell, path_to_pair
+from centdim.bijection import _step, path_to_pair
 
 
 def outcome(fn, path, n):
@@ -235,11 +241,11 @@ def mismatches(paths):
 
 
 walk = ((4,), (3,), (3, 1), (3,), (4,))
-report = {"cold size": _step_cell.cache_info().currsize}
+report = {"cold size": _step.cache_info().currsize}
 report["odd before warming"] = mismatches(ODD_PATHS)
 path_to_pair(walk, 4)
 report["malformed"] = mismatches(MALFORMED_PATHS)
-warm = _step_cell.cache_info()
+warm = _step.cache_info()
 spoilt = [(((4,), (3,), (3, x), (3,), (4,)), 4) for x in (1.0, Fraction(1), Decimal(1))]
 spoilt += [(((4,), (4,), (3, x)), 4) for x in (1.0, Fraction(1), Decimal(1))]
 report["spoilt"] = [outcome(path_to_pair, path, n) for path, n in spoilt]
@@ -247,7 +253,7 @@ report["spoilt unlike reference"] = mismatches(spoilt)
 report["odd after warming"] = mismatches(ODD_PATHS)
 report["malformed again"] = mismatches(MALFORMED_PATHS)
 path_to_pair(walk, 4)
-end = _step_cell.cache_info()
+end = _step.cache_info()
 report["grown"] = end.currsize - warm.currsize
 report["new misses"] = end.misses - warm.misses
 print(repr(report))
@@ -273,6 +279,87 @@ def test_step_memo_takes_only_checked_shapes_in_a_fresh_process():
         "spoilt unlike reference": [],
         "odd after warming": [],
         "malformed again": [],
+        "grown": 0,
+        "new misses": 0,
+    }
+
+
+GUARD_PROBE = """
+from decimal import Decimal
+from fractions import Fraction
+
+import seed_reference as ref
+from centdim.bijection import _step, path_to_pair
+
+
+class Int(int):
+    pass
+
+
+def outcome(fn, path, n):
+    try:
+        return "ok", fn(path, n)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+spoilt = []  # (kind, walk, n): one entry of an integer walk made another type
+for path, n in WALKS:
+    for i, shape in enumerate(path):
+        for j, x in enumerate(shape):
+            for kind in (bool, Int, float, Fraction, Decimal):
+                if kind is not bool or x == 1:
+                    walk = path[:i] + (shape[:j] + (kind(x),) + shape[j + 1:],) + path[i + 1:]
+                    spoilt += [(kind, walk, n), (kind, [list(s) for s in walk], n)]
+report = {"sent": len(spoilt)}
+kinds = {kind.__name__: set() for kind in (bool, Int, float, Fraction, Decimal)}
+for kind, walk, n in spoilt:
+    kinds[kind.__name__].add(outcome(path_to_pair, walk, n)[0])
+report["kinds"] = {name: sorted(seen) for name, seen in kinds.items()}
+report["cold size"] = _step.cache_info().currsize
+for path, n in WALKS:
+    path_to_pair(path, n)
+warm = _step.cache_info()
+report["warm size"] = warm.currsize
+sends = [(walk, n) for _, walk, n in spoilt] + [([list(s) for s in p], n) for p, n in WALKS]
+report["unlike reference"] = [
+    i for i, (walk, n) in enumerate(sends)
+    if outcome(path_to_pair, walk, n) != outcome(ref.path_to_pair, walk, n)
+]
+end = _step.cache_info()
+report["grown"] = end.currsize - warm.currsize
+report["new misses"] = end.misses - warm.misses
+print(repr(report))
+"""
+
+
+def test_step_memo_guard_holds_on_a_warm_memo_in_a_fresh_process():
+    # Integer walks with one entry a bool, an int subclass, a float, a
+    # Fraction or a Decimal, as tuples and as lists: sent to a cold memo, then
+    # again, with the plain walks as lists, once every integer step is in the
+    # memo. Each answers as the frozen copy does, and none reaches the memo.
+    diagram = build_diagram("S", 4, "perm", 3)
+    walks = [
+        (path, 4)
+        for level in (2, 3)
+        for lab, _ in diagram.row(level)
+        for path in enumerate_paths(diagram, level, lab)
+    ]
+    proc = run_fresh(f"WALKS = {walks!r}\n" + GUARD_PROBE)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = ast.literal_eval(proc.stdout)
+    assert report.pop("warm size") > 0
+    assert report.pop("sent") > 10 * len(walks)
+    assert report == {
+        "cold size": 0,
+        "unlike reference": [],
+        "kinds": {
+            "bool": ["ok"],
+            "Int": ["ok"],
+            "float": ["ValueError"],
+            "Fraction": ["ValueError"],
+            "Decimal": ["ValueError"],
+        },
         "grown": 0,
         "new misses": 0,
     }
