@@ -3,12 +3,13 @@
 The permutation module M of S_n on n letters has centralizer algebras
 End(M^k) whose irreducible blocks are indexed by partitions of n; half
 levels k+1/2 restrict the action to S_{n-1} and are indexed by partitions
-of n-1. One kernel, block_dimension, computes every block: a finite sum of
-Stirling-type weights against Kostka numbers of hook type. A_n folds each
-label with its conjugate. The reflection module R needs no second
-algorithm: M = trivial + R makes R^k the alternating binomial transform of
-M^j over j <= k, and the weights carry that transform (see _weight). The
-eight dim_* families are that kernel at a fixed (group, module, half).
+of n-1. Every dimension sums Stirling-type weights through one memoized
+stable-range sum, _abacus_sum; the block kernel, block_dimension, weighs it
+by Aitken's terms of hook Kostka numbers, and A_n folds each label with its
+conjugate. The reflection module R needs no second algorithm: M = trivial +
+R makes R^k the alternating binomial transform of M^j over j <= k, and the
+weights carry that transform (see _weight). The eight dim_* families are
+that kernel at a fixed (group, module, half).
 
 Levels are fractions.Fraction values with denominator 1 or 2.
 """
@@ -16,12 +17,15 @@ Levels are fractions.Fraction values with denominator 1 or 2.
 import math
 import re
 from fractions import Fraction
+from functools import cache
 
+# bell_restricted and kostka_hook_type are unused; the bench tracer binds them.
 from .arith import bell_restricted, binomial, signed_stirling2, stirling2
 from .branch import alt_labels
 from .young import (
     check_partition,
     conjugate,
+    hook_terms,
     involutions_with_fixed_points,
     num_syt,
     kostka_hook_type,
@@ -197,19 +201,18 @@ def block_dimension(ctx, label):
     """Dimension of the block at label of the algebra described by ctx.
 
     With m = ctx.label_size, the sum over shapes and t <= min(m, k) of
-    _weight's weight times K(shape, hook(m, t)). M weighs by S2(k, t), or
-    S2(k + 1, t + 1) on half levels. R = M - trivial weighs by the
-    alternating binomial transform of those over levels j <= k:
-    signed_stirling2(k, t), or S2(k, t) on half levels (R restricted to
-    S_{n-1} is M_{n-1}).
+    _weight's weight times K(shape, hook(m, t)); for R = M - trivial the
+    weight is the alternating binomial transform of M's over levels j <= k.
+    K is Aitken's sum over young.hook_terms, whose binomials move the t sum
+    into _abacus_sum.
     """
     shapes = _shapes(ctx, label)
     weight, s = _weight(ctx)
-    k, m = ctx.k, ctx.label_size
+    k, top = ctx.k, min(ctx.label_size, ctx.k)
     return _nonnegative(sum(
-        weight(k + s, t + s) * kostka_hook_type(shape, m, t)
+        sign * f * _abacus_sum(weight, k, s, top, size)
         for shape in shapes
-        for t in range(min(m, k) + 1)
+        for sign, size, f in hook_terms(shape, top)
     ))
 
 
@@ -236,8 +239,8 @@ dim_qz_alt_half = _family("A", "refl", 1)
 def dim_z_algebra(ctx):
     """Dimension of the whole centralizer algebra described by ctx.
 
-    It is the sum of _weight's weights at level 2k over t <= m =
-    ctx.label_size. With S2 that is the restricted Bell number
+    It is _abacus_sum at j = 0, the sum of _weight's weights at level 2k
+    over t <= m = ctx.label_size. With S2 that is the restricted Bell number
     B(2k + s, m + s): for M, and for R on half levels, where R restricted to
     S_{n-1} is M_{n-1}. For R on integer levels it is the row sum of
     signed_stirling2(2k, t), the alternating binomial transform of the M
@@ -248,21 +251,17 @@ def dim_z_algebra(ctx):
     """
     weight, s = _weight(ctx)
     k, m = 2 * ctx.k, ctx.label_size
-    if weight is signed_stirling2:
-        value = sum(weight(k, t) for t in range(min(k, m) + 1))
-    else:
-        value = bell_restricted(k + s, m + s)
+    value = _abacus_sum(weight, k, s, min(k, m), 0)
     if ctx.group == "A" and m >= 2:
         value += weight(k + s, m + s - 1) + weight(k + s, m + s)
     return _nonnegative(value)
 
 
-def _abacus_sum(weight, k, shift, nu_size):
-    """sum_t C(t, |nu|) * weight(k + shift, t + shift); shift 1 on half levels."""
-    return sum(
-        binomial(t, nu_size) * weight(k + shift, t + shift)
-        for t in range(nu_size, k + 1)
-    )
+@cache
+def _abacus_sum(weight, k, s, top, j):
+    """The stable-range sum of C(t, j) * weight(k + s, t + s) over
+    j <= t <= top; s is _weight's shift."""
+    return sum(binomial(t, j) * weight(k + s, t + s) for t in range(j, top + 1))
 
 
 def dim_partition_algebra_irr(level, nu):
@@ -278,7 +277,7 @@ def dim_partition_algebra_irr(level, nu):
     k = level_floor(level)
     if sum(nu) > k:
         raise ValueError(f"|{nu}| exceeds the level floor {k}")
-    return num_syt(nu) * _abacus_sum(stirling2, k, 1 if is_half(level) else 0, sum(nu))
+    return num_syt(nu) * _abacus_sum(stirling2, k, 1 if is_half(level) else 0, k, sum(nu))
 
 
 def dim_qp_irr(k, nu):
@@ -291,7 +290,7 @@ def dim_qp_irr(k, nu):
     nu = check_partition(nu) if nu else ()
     if sum(nu) > k:
         raise ValueError(f"|{nu}| exceeds the level {k}")
-    return _nonnegative(num_syt(nu) * _abacus_sum(signed_stirling2, k, 0, sum(nu)))
+    return _nonnegative(num_syt(nu) * _abacus_sum(signed_stirling2, k, 0, k, sum(nu)))
 
 
 def dim_model_block(k, r, p):
@@ -306,7 +305,7 @@ def dim_model_block(k, r, p):
         raise ValueError(f"need 0 <= p <= r <= k, got p={p}, r={r}, k={k}")
     if (r - p) % 2:
         raise ValueError(f"r - p must be even, got r={r}, p={p}")
-    return involutions_with_fixed_points(r, p) * _abacus_sum(stirling2, k, 0, r)
+    return involutions_with_fixed_points(r, p) * _abacus_sum(stirling2, k, 0, k, r)
 
 
 def labels_for(ctx):

@@ -13,8 +13,13 @@ Two kinds of evidence, kept deliberately redundant with the test suite:
 from fractions import Fraction
 
 from .bratteli import build_diagram, format_label
-from .dims import GroupModuleContext, block_dimension, labels_for
+from .dims import GROUPS, MODULES, GroupModuleContext, block_dimension, labels_for
 from .oracle import MAX_N, multiplicity_oracle
+
+# The most checks an oracle window may hold; each costs one oracle and one
+# kernel call. Windows just under it, such as --n-max 2 --k-max 4999 and
+# --n-max 10 --k-max 65, run in 3 to 6 s on a 2-core machine.
+MAX_ORACLE_CHECKS = 50_000
 
 # Every subscript of the six reference towers, keyed by (group, n, module).
 # Rows are (label, count) in display order, keyed by level; the last key is
@@ -217,13 +222,26 @@ def run_golden():
     return results
 
 
+def oracle_checks(n_max, k_max):
+    """How many checks run_oracle makes for a window, counted without
+    running it: k_max + 1 integer and k_max half levels per suite and n."""
+    return sum(
+        (k_max + 1) * len(labels_for(GroupModuleContext(group, n, module, 0)))
+        + k_max * len(labels_for(GroupModuleContext(group, n, module, Fraction(1, 2))))
+        for group in GROUPS
+        for module in MODULES
+        for n in range(2, n_max + 1)
+    )
+
+
 def run_oracle(n_max=6, k_max=4):
     """Replay the character oracle against the closed formulas.
 
     Sweeps both groups, both modules, n from 2 to n_max, and every integer
     and half-integer level up to k_max. Returns one triple per
-    (group, module) suite. A window that holds no check, or that reaches
-    past the oracle's largest n, is refused before any suite runs.
+    (group, module) suite. A window that holds no check, that reaches past
+    the oracle's largest n, or that holds more than MAX_ORACLE_CHECKS
+    checks, is refused before any suite runs.
     """
     if n_max < 2 or k_max < 0:
         raise ValueError(
@@ -231,9 +249,15 @@ def run_oracle(n_max=6, k_max=4):
         )
     if n_max > MAX_N:
         raise ValueError(f"oracle window too wide: need n_max <= {MAX_N}, got {n_max}")
+    checks = oracle_checks(n_max, k_max)
+    if checks > MAX_ORACLE_CHECKS:
+        raise ValueError(
+            f"oracle window too large: --n-max {n_max} --k-max {k_max} holds "
+            f"{checks} checks, above the cap of {MAX_ORACLE_CHECKS}"
+        )
     results = []
-    for group in ("S", "A"):
-        for module in ("perm", "refl"):
+    for group in GROUPS:
+        for module in MODULES:
             checks = 0
             problems = []
             for n in range(2, n_max + 1):

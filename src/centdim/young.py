@@ -112,39 +112,39 @@ def num_skew_syt(outer, inner=()):
     return total
 
 
-def kostka_hook_type(lam, n, t):
-    """Kostka number of lam against the hook type (n-t, 1^t).
+def hook_terms(lam, top):
+    """Aitken's terms (sign, |mu_i|, f^(mu_i)) of lam with |mu_i| <= top.
 
-    lam must be a partition of n; only its size is checked, since this runs
-    once per term of every block dimension. t = n-1 and t = n both mean the
-    type (1^n). The value is the number of standard tableaux of lam with the
-    first a = n-t cells lying in row one, f^(lam/(a)). Aitken's determinant
-    for that skew shape has one column that depends on a; expanding along
-    it, with 0-based rows i,
+    With n = |lam| and 0-based rows i, the standard tableaux of lam whose
+    first a = n - t cells lie in row one number, by Aitken's determinant for
+    lam/(a) expanded along its one a-dependent column,
 
-        K = sum_i (-1)^i C(t, n - lam_i + i) f^(mu_i),
+        f^(lam/(a)) = sum_i (-1)^i C(t, |mu_i|) f^(mu_i),
         mu_i = (lam_0 + 1, ..., lam_(i-1) + 1, lam_(i+1), ...),
 
-    where |mu_i| = n - lam_i + i and the binomial vanishes from the first row
-    with lam_i - i < a on. The i = 0 term C(t, n - lam_0) f^(lam_1, ...) is
-    the stable-range term, and the whole sum once a >= lam_1. The mu_i do
-    not depend on t, so num_syt's memo is the only per-shape state.
-    num_skew_syt counts the same skew shape independently and serves as the
-    reference in the test suite.
+    with |mu_i| = n - lam_i + i strictly increasing, so the rows with
+    |mu_i| <= top hold every nonzero term for each t <= top. The i = 0 term
+    is the stable-range term. The empty shape has one term, (1, 0, 1).
     """
+    n = sum(lam)
+    for i, part in enumerate(lam or (0,)):  # () as one row of length 0
+        size = n - part + i
+        if size > top:
+            return
+        mu = tuple(p + 1 for p in lam[:i]) + lam[i + 1 :]
+        yield (-1) ** i, size, num_syt(mu)
+
+
+def kostka_hook_type(lam, n, t):
+    """Kostka number of lam against the hook type (n-t, 1^t), f^(lam/(n-t)),
+    from hook_terms(lam, t); t = n-1 and t = n both mean (1^n). lam must be
+    a partition of n; only its size is checked."""
     lam = tuple(lam)
     if sum(lam) != n:
         raise ValueError(f"expected a partition of {n}, got {lam}")
     if t < 0 or t > n:
         raise ValueError(f"hook parameter t = {t} outside 0..{n}")
-    a = n - t
-    total = 0 if lam else 1
-    for i, part in enumerate(lam):
-        if part - i < a:
-            break
-        mu = tuple(p + 1 for p in lam[:i]) + lam[i + 1 :]
-        total += (-1) ** i * binomial(t, n - part + i) * num_syt(mu)
-    return total
+    return sum(sign * binomial(t, size) * f for sign, size, f in hook_terms(lam, t))
 
 
 @cache

@@ -353,6 +353,63 @@ def test_verify_refuses_a_window_past_the_oracle(capsys, monkeypatch, window, go
     assert MAX_N == 10
 
 
+def test_oracle_check_count_is_what_the_sweep_runs():
+    from centdim import verify
+
+    for n_max, k_max in ((2, 0), (3, 2), (6, 4)):
+        counted = sum(
+            int(detail.split()[0]) for _, _, detail in verify.run_oracle(n_max, k_max)
+        )
+        assert verify.oracle_checks(n_max, k_max) == counted, (n_max, k_max)
+    windows = ((6, 4), (10, 10), (6, 2000), (2, 20000), (2, 5000), (10, 40))
+    assert [verify.oracle_checks(*w) for w in windows] == [
+        736, 8044, 320096, 200006, 50006, 30844,
+    ]
+
+
+@pytest.mark.parametrize(
+    "window, checks",
+    [
+        (["--scope", "oracle", "--n-max", "2", "--k-max", "20000"], 200006),
+        (["--scope", "all", "--n-max", "6", "--k-max", "2000"], 320096),
+        (["--n-max", "2", "--k-max", "5000"], 50006),
+        (["--n-max", "2", "--k-max", str(10**30)], 10 * 10**30 + 6),
+    ],
+)
+def test_verify_refuses_a_window_above_the_check_cap(capsys, monkeypatch, window, checks):
+    # --n-max 2 --k-max 20000 used to run every level up to 10,000 first
+    from centdim import verify
+
+    def unreachable(*args):
+        raise AssertionError("verify did work before refusing its window")
+
+    for name in ("build_diagram", "block_dimension", "multiplicity_oracle"):
+        monkeypatch.setattr(verify, name, unreachable)
+    n_max, k_max = window[-3], window[-1]
+    code, out, err = run(capsys, "verify", *window)
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: oracle window too large: --n-max {n_max} --k-max {k_max} holds "
+        f"{checks} checks, above the cap of 50000\n"
+    )
+    assert verify.MAX_ORACLE_CHECKS == 50_000
+
+
+def test_verify_runs_a_window_at_the_check_cap(capsys, monkeypatch):
+    from centdim import verify
+
+    monkeypatch.setattr(verify, "MAX_ORACLE_CHECKS", 736)
+    code, out, _ = run(capsys, "verify", "--scope", "oracle")
+    assert (code, out.splitlines()[-1]) == (0, "summary: 4 suites, 0 failures")
+    monkeypatch.setattr(verify, "MAX_ORACLE_CHECKS", 735)
+    code, out, err = run(capsys, "verify", "--scope", "oracle")
+    assert (code, out) == (3, "")
+    assert "holds 736 checks, above the cap of 735" in err
+    # the golden scope ignores the window
+    code, _, _ = run(capsys, "verify", "--scope", "golden", "--k-max", "20000")
+    assert code == 0
+
+
 @pytest.mark.parametrize("n", ["0", "-1"])
 @pytest.mark.parametrize(
     "direction, doc",

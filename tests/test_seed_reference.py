@@ -28,7 +28,7 @@ from centdim import bijection, dims
 from centdim.branch import AltLabel, alt_labels, induce_alt, restrict_alt
 from centdim.bratteli import build_diagram, enumerate_paths, export
 from centdim.dims import GroupModuleContext, decompose, labels_for
-from centdim.young import partitions_of
+from centdim.young import involutions_with_fixed_points, num_syt, partitions_of
 
 
 def outcome(fn, *args):
@@ -526,6 +526,16 @@ def test_signed_weights_match_the_frozen_transform():
                 assert dims.dim_qp_irr(k, nu) == ref.dim_qp_irr(k, nu), (k, nu)
     for bad in ((2, (3,)), (-1, ()), (Fraction(1, 2), ())):
         assert outcome(dims.dim_qp_irr, *bad) == outcome(ref.dim_qp_irr, *bad)
+    # the other stable-range sums read the same memoized entries
+    for k in range(15):
+        for size in range(k + 1):
+            for nu in partitions_of(size):
+                for shift, level in ((0, Fraction(k)), (1, Fraction(2 * k + 1, 2))):
+                    want = num_syt(nu) * ref._abacus_sum(k, shift, size)
+                    assert dims.dim_partition_algebra_irr(level, nu) == want, (level, nu)
+            for p in range(size % 2, size + 1, 2):
+                want = involutions_with_fixed_points(size, p) * ref._abacus_sum(k, 0, size)
+                assert dims.dim_model_block(k, size, p) == want, (k, size, p)
 
 
 FAMILIES = [
@@ -567,8 +577,8 @@ def test_dimension_families_match_reference(name, group, half):
 def test_decompose_matches_reference():
     for group in ("S", "A"):
         for module in ("perm", "refl"):
-            for n in range(1, 10):
-                for twice in range(17):
+            for n in range(1, 13):
+                for twice in range(21):
                     ctx = GroupModuleContext(group, n, module, Fraction(twice, 2))
                     expected = []
                     for label in labels_for(ctx):

@@ -1,6 +1,6 @@
 import itertools
 import random
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +10,7 @@ from centdim.young import (
     conjugate,
     format_partition,
     hook_length,
+    hook_terms,
     involutions_with_fixed_points,
     kostka_hook_type,
     num_skew_syt,
@@ -202,6 +203,20 @@ def test_kostka_hook_type_matches_skew_counts():
         assert kostka_hook_type(lam, n, n) == kostka_hook_type(lam, n, n - 1) == num_syt(lam)
         overlaps += len(lam) > 1 and lam[1] - 1 >= n - t
     assert overlaps >= 100
+
+
+def test_hook_terms_truncate_where_the_binomials_vanish():
+    # the kernel sums the terms of hook_terms(lam, top) once for every t <= top
+    assert list(hook_terms((), 0)) == [(1, 0, 1)]
+    for m in range(11):
+        for lam in partitions_of(m):
+            for top in range(m + 1):
+                terms = list(hook_terms(lam, top))
+                sizes = [size for _, size, _ in terms]
+                assert sizes == sorted(set(sizes)) and all(s <= top for s in sizes)
+                for t in range(top + 1):
+                    got = sum(sign * comb(t, size) * f for sign, size, f in terms)
+                    assert got == skew_count(lam, m, t), (lam, top, t)
 
 
 def test_partitions_of_order_and_counts():
