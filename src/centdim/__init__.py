@@ -43,6 +43,7 @@ _EXPORTS = {
     ),
     "dims": (
         "GroupModuleContext",
+        "block_dimension",
         "decompose",
         "dim_model_block",
         "dim_partition_algebra_irr",

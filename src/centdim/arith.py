@@ -50,23 +50,40 @@ def _staircase(table, c, k, t):
     return table[t][e]
 
 
-@cache
+def _check_integers(k, t):
+    """Refuse non-integers before any memo or table read: 3.0 == 3 and both
+    hash alike, so a memo would answer for it once 3 had been asked."""
+    if not (isinstance(k, int) and isinstance(t, int)):
+        raise TypeError(f"Stirling numbers need integers k and t, got {k!r}, {t!r}")
+
+
 def stirling2(k, t):
     """Stirling number of the second kind: partitions of a k-set into t blocks.
 
     Uses the recurrence S2(k, t) = t*S2(k-1, t) + S2(k-1, t-1) with
-    S2(0, 0) = 1. Total: returns 0 whenever t < 0 or t > k. Values are read
-    from a table filled bottom-up, so there is no recursion and no depth
-    limit.
+    S2(0, 0) = 1. Total on integers: returns 0 whenever t < 0 or t > k.
+    Values are read from a table filled bottom-up, so there is no recursion
+    and no depth limit.
     """
+    _check_integers(k, t)
+    return _stirling2(k, t)
+
+
+# _TABLE already holds every value; this memo stays only because
+# perfbench/tracing.py reads stirling2.cache_info().
+@cache
+def _stirling2(k, t):
     return _staircase(_TABLE, 0, k, t)
 
 
-@cache
+stirling2.cache_info, stirling2.cache_clear = _stirling2.cache_info, _stirling2.cache_clear
+
+
 def signed_stirling2(k, t):
     """sum_j (-1)^(k-j) C(k, j) S2(j, t), from the recurrence with c = -1,
     so W(k, 0) = (-1)^k. Summed over t it counts the singleton-free set
     partitions of a k-set. Total and table-backed like stirling2."""
+    _check_integers(k, t)
     return _staircase(_SIGNED_TABLE, -1, k, t)
 
 

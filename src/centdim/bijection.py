@@ -222,7 +222,7 @@ def path_to_pair(path, n):
 
 
 def _check_n(n):
-    if n < 1:
+    if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
 
 

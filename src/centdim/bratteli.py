@@ -41,7 +41,7 @@ from .branch import (
     restrict_sym,
     restrict_sym_to_alt,
 )
-from .dims import check_level, check_scale, format_level
+from .dims import check_labels, check_level, check_scale, format_level
 from .young import check_partition, partition_sort_key
 
 
@@ -116,8 +116,11 @@ def build_diagram(group, n, module, max_level):
     follow the Pascal rule, with the quasi correction on integer rows for
     the reflection module. Each distinct label is restricted or induced
     once per process, when the first row below it is built; later rows and
-    builds read the memo. The S root is checked as a partition up front, so
-    a non-integer n is refused at every level, 0 included.
+    builds read the memo. Rows k and k + 1/2 hold the stable-range labels
+    of dims.decompose, so the top integer row is the largest, and a tower
+    whose top row holds more than dims.MAX_LABELS is refused before any
+    row is built. The S root is checked as a partition up front, so a
+    non-integer n is refused at every level, 0 included.
     """
     if group not in ("S", "A"):
         raise ValueError(f"group must be 'S' or 'A', got {group!r}")
@@ -128,6 +131,7 @@ def build_diagram(group, n, module, max_level):
         raise ValueError(f"group {group} needs n >= {minimum}, got {n}")
     max_level = check_level(max_level)
     check_scale(max_level, n)
+    check_labels(max_level, n)
 
     if group == "S":
         root = check_partition((n,))

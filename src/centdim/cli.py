@@ -8,30 +8,26 @@ All normal output goes to stdout, diagnostics to stderr, and equal
 invocations produce byte-identical output.
 
 Each handler imports the modules it uses when it runs, so a process loads
-only what its subcommand needs. The library entry points below are looked
-up on this module at call time (see _lib), so a caller can rebind them.
+only what its subcommand needs. The library entry points below resolve
+through the centdim package on first use and are looked up on this module
+at call time (see _lib), so a caller can rebind them.
 """
 
 import argparse
 import contextlib
 import sys
 
-_LIBRARY = {
-    "block_dimension": "dims",
-    "decompose": "dims",
-    "build_diagram": "bratteli",
-    "export": "bratteli",
-    "path_to_pair": "bijection",
-    "pair_to_path": "bijection",
-}
+_LIBRARY = (
+    "block_dimension", "decompose", "build_diagram", "export", "path_to_pair", "pair_to_path"
+)
 
 
 def __getattr__(name):
     if name not in _LIBRARY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
+    import centdim
 
-    value = getattr(importlib.import_module(f"centdim.{_LIBRARY[name]}"), name)
+    value = getattr(centdim, name)
     globals()[name] = value
     return value
 

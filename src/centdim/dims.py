@@ -9,7 +9,9 @@ by Aitken's terms of hook Kostka numbers, and A_n folds each label with its
 conjugate. The reflection module R needs no second algorithm: M = trivial +
 R makes R^k the alternating binomial transform of M^j over j <= k, and the
 weights carry that transform (see _weight). The eight dim_* families are
-that kernel at a fixed (group, module, half).
+that kernel at a fixed (group, module, half). decompose scores only the
+stable range, the labels whose first part is at least m - k, and refuses
+more than MAX_LABELS of them before building any.
 
 Levels are fractions.Fraction values with denominator 1 or 2.
 """
@@ -21,8 +23,9 @@ from functools import cache
 
 # bell_restricted and kostka_hook_type are unused; the bench tracer binds them.
 from .arith import bell_restricted, binomial, signed_stirling2, stirling2
-from .branch import alt_labels
+from .branch import _fold, alt_labels
 from .young import (
+    bounded_partitions,
     check_partition,
     conjugate,
     hook_terms,
@@ -82,6 +85,55 @@ def check_scale(level, size):
         raise ValueError(
             f"level {k} with labels of size {size} needs {cells} Stirling "
             f"numbers, above the cap of {MAX_STIRLING_CELLS}"
+        )
+
+
+# Label cap, checked before any label is built. decompose scores, and a
+# tower row holds, the partitions of m in the stable range, those with a
+# first part of at least m - k; for k >= m that is all p(m) of them, and
+# n = k = 40 has p(40) = 37,338.
+MAX_LABELS = 50_000
+
+
+def stable_shapes(k, m):
+    """The partitions of m with a first part of at least m - k, in display
+    order: r = m - lam_1 ascending, then the rest of lam, a partition of r
+    with no part above m - r, in decreasing lexicographic order."""
+    if m == 0:
+        return [()]
+    return [
+        (m - r, *nu)
+        for r in range(min(k, m - 1) + 1)
+        for nu in bounded_partitions(r, m - r)
+    ]
+
+
+def stable_count(k, m):
+    """len(stable_shapes(k, m)), counted without building the shapes, in
+    O(min(k, m)^2) additions: the partitions of r with no part above m - r,
+    summed over r = 0..min(k, m - 1)."""
+    if m == 0:
+        return 1
+    top = min(k, m - 1)
+    ways = [1] + [0] * top  # ways[x]: partitions of x into parts <= j
+    total = 0
+    for j in range(1, top + 1):
+        for x in range(j, top + 1):
+            ways[x] += ways[x - j]
+        if j < m - j <= top:  # r = m - j, whose bound j lies below r
+            total += ways[m - j]
+    return total + sum(ways[: min(top, m // 2) + 1])  # r <= m - r: any parts
+
+
+def check_labels(level, size):
+    """Refuse a level whose stable-range labels of the given size number
+    more than MAX_LABELS."""
+    k = level_floor(level)
+    count = stable_count(k, size)
+    if count > MAX_LABELS:
+        raise ValueError(
+            f"level {k} with labels of size {size} has {count} candidate "
+            f"labels, above the cap of {MAX_LABELS}"
         )
 
 
@@ -318,11 +370,17 @@ def labels_for(ctx):
 def decompose(ctx):
     """Nonzero blocks of the ctx algebra as (label, dimension) pairs.
 
-    Labels with multiplicity 0 are dropped; order is decreasing
-    lexicographic on the base partition, unsigned then '+' then '-'.
+    Only the stable range is scored: hook_terms(shape, top) is empty unless
+    shape's first part is at least m - top, with m = ctx.label_size and
+    top = min(m, k), so an S block can be nonzero only there, and an A
+    block only when its base or the base's conjugate is. Order is
+    decreasing lexicographic on the base partition, unsigned then '+' then
+    '-'.
     """
+    check_labels(ctx.level, ctx.label_size)
+    shapes = stable_shapes(ctx.k, ctx.label_size)
     out = []
-    for label in labels_for(ctx):
+    for label in shapes if ctx.group == "S" else _fold(shapes):
         d = block_dimension(ctx, label)
         if d:
             out.append((label, d))

@@ -66,10 +66,17 @@ def hook_length(lam, row, col):
     return arm + leg + 1
 
 
-@cache
 def num_syt(lam):
-    """Number of standard Young tableaux of shape lam, by the hook formula."""
-    lam = check_partition(lam)
+    """Number of standard Young tableaux of shape lam, by the hook formula.
+
+    lam is checked before the memo is read: (3, 1.0) == (3, 1) and both hash
+    alike, so the memo would otherwise answer for it once (3, 1) was asked.
+    """
+    return _num_syt(check_partition(lam))
+
+
+@cache
+def _num_syt(lam):
     n = sum(lam)
     cols = conjugate(lam)
     denom = 1
@@ -89,17 +96,22 @@ def contains(outer, inner):
     )
 
 
-@cache
 def num_skew_syt(outer, inner=()):
     """Number of standard tableaux of the skew shape outer/inner.
 
-    Counted by peeling removable corners, memoized on the shape pair. The
-    corner being removed may not dig into the inner shape.
+    Counted by peeling removable corners, memoized on the checked shape
+    pair (as num_syt is). The corner being removed may not dig into the
+    inner shape.
     """
     outer = check_partition(outer) if outer else ()
     inner = check_partition(inner) if inner else ()
     if not contains(outer, inner):
         raise ValueError(f"shape {inner} does not fit inside {outer}")
+    return _num_skew_syt(outer, inner)
+
+
+@cache
+def _num_skew_syt(outer, inner):
     if sum(outer) == sum(inner):
         return 1
     total = 0
@@ -108,8 +120,11 @@ def num_skew_syt(outer, inner=()):
         below = outer[i + 1] if i + 1 < len(outer) else 0
         if part > below and part > inner_i:
             smaller = outer[:i] + ((part - 1,) if part > 1 else ()) + outer[i + 1 :]
-            total += num_skew_syt(smaller, inner)
+            total += _num_skew_syt(smaller, inner)
     return total
+
+
+num_skew_syt.cache_info = _num_skew_syt.cache_info
 
 
 def hook_terms(lam, top):
@@ -152,6 +167,12 @@ def partitions_of(n):
     """All partitions of n, in decreasing lexicographic order."""
     if n < 0:
         raise ValueError(f"partitions_of: need n >= 0, got {n}")
+    return tuple(bounded_partitions(n, n))
+
+
+def bounded_partitions(n, cap):
+    """The partitions of n with no part above cap, in decreasing
+    lexicographic order, as a list."""
     result = []
 
     def rec(remaining, cap, prefix):
@@ -161,8 +182,8 @@ def partitions_of(n):
         for part in range(min(cap, remaining), 0, -1):
             rec(remaining - part, part, prefix + (part,))
 
-    rec(n, n, ())
-    return tuple(result)
+    rec(n, cap, ())
+    return result
 
 
 def involutions_with_fixed_points(r, p):

@@ -84,6 +84,9 @@ def test_walk_errors():
         path_to_pair(((4,), (3, 1), (4,)), 4)
     with pytest.raises(ValueError, match="malformed path"):
         path_to_pair(((4,), (2,), (3,)), 4)
+    with pytest.raises(ValueError, match=r"^n must be a positive integer, got 2\.0$"):
+        path_to_pair(((2,), (1,), (2,)), 2.0)
+    assert path_to_pair(((1,), (), (1,)), True) == path_to_pair(((1,), (), (1,)), 1)
 
 
 def test_pair_errors():
@@ -95,6 +98,8 @@ def test_pair_errors():
         pair_to_path(((1, 2),), ((0, 2), (2,)), 3)
     with pytest.raises(ValueError, match="incompatible pair"):
         pair_to_path(((1,),), ((1, 0, 0),), 3)
+    with pytest.raises(ValueError, match=r"^n must be a positive integer, got 2\.0$"):
+        pair_to_path(((1,),), ((0, 1),), 2.0)
 
 
 def fillings_of_shape(lam, values):

@@ -631,6 +631,35 @@ def test_scale_caps_exit_3_at_once(capsys, argv, message):
     assert time.perf_counter() - start < 2
 
 
+@pytest.mark.parametrize("group, module, line", [
+    ("S", "perm", "200:2  199,1:3  198,2:1  198,1,1:1"),
+    ("A", "refl", "200:1  199,1:1  198,2:1  198,1,1:1"),
+])
+def test_decompose_scores_only_the_stable_range_in_a_fresh_process(group, module, line):
+    # at k = 2 only labels with a first part of at least n - 2 can be
+    # nonzero; the squares sum to B(4) = 15 (perm) and to 4, the set
+    # partitions of 4 points with no singleton (refl)
+    start = time.perf_counter()
+    proc = run_process("decompose", "--group", group, "--module", module, "--n", "200",
+                       "--k", "2")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, line + "\n", "")
+    assert time.perf_counter() - start < 10
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--group", "S", "--module", "perm", "--n", "100", "--k", "100"],
+    ["bratteli", "--pair", "S:100", "--module", "perm", "--levels", "100"],
+])
+def test_label_cap_exits_3_at_once(capsys, argv):
+    # p(100) = 190,569,292 labels: refused before any of them is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == ("error: level 100 with labels of size 100 has 190569292 candidate "
+                   "labels, above the cap of 50000\n")
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("level, line", [
     ("1e-5000", "error: bad level: level must be a nonnegative half-integer, got 1e-5000"),
     ("x", "error: bad level: cannot parse level 'x'"),

@@ -12,8 +12,10 @@ import centdim
 from centdim.arith import bell, bell_restricted, binomial, singleton_free_bell, stirling2
 from centdim.branch import AltLabel, alt_labels, restrict_alt, restrict_sym
 from centdim.dims import (
+    MAX_LABELS,
     GroupModuleContext,
     block_dimension,
+    check_labels,
     decompose,
     dim_model_block,
     dim_partition_algebra_irr,
@@ -29,6 +31,8 @@ from centdim.dims import (
     dim_z_half,
     labels_for,
     parse_level,
+    stable_count,
+    stable_shapes,
 )
 from centdim.young import (
     conjugate,
@@ -481,3 +485,48 @@ def test_block_dimension_dispatch():
     assert block_dimension(ctx("A", 4, "perm", Fraction(7, 2)), AltLabel((3,))) == 22
     assert block_dimension(ctx("S", 6, "refl", 4), (4, 2)) == 13
     assert block_dimension(ctx("A", 6, "refl", 4), AltLabel((3, 2, 1), "-")) == 12
+
+
+def test_stable_shapes_are_the_first_row_range_in_order():
+    # decompose scores these: hook_terms(lam, top) is empty unless
+    # lam_1 >= m - top; the count builds none of them
+    for n in range(1, 13):
+        for m in (n, n - 1):
+            for k in range(11):
+                shapes = stable_shapes(k, m)
+                assert shapes == [lam for lam in partitions_of(m) if not lam or lam[0] >= m - k]
+                assert stable_count(k, m) == len(shapes), (k, m)
+
+
+def pentagonal_partition_numbers(top):
+    """p(0..top) by Euler's recurrence over the generalized pentagonal numbers."""
+    p = [1]
+    for m in range(1, top + 1):
+        total, j = 0, 1
+        while j * (3 * j - 1) // 2 <= m:
+            sign = 1 if j % 2 else -1
+            for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
+                if g <= m:
+                    total += sign * p[m - g]
+            j += 1
+        p.append(total)
+    return p
+
+
+def test_stable_count_is_every_partition_once_k_reaches_m():
+    p = pentagonal_partition_numbers(100)
+    assert p[:8] == [1, 1, 2, 3, 5, 7, 11, 15] and p[100] == 190_569_292
+    for m in range(101):
+        for k in (m, m + 1, 2 * m + 3):
+            assert stable_count(k, m) == p[m], (k, m)
+
+
+def test_label_cap_admits_its_bound():
+    assert MAX_LABELS == 50_000
+    check_labels(Fraction(41), 41)  # p(41) = 44,583
+    check_labels(Fraction(83, 2), 41)  # a half level counts its floor
+    check_labels(Fraction(2), 10_000)
+    with pytest.raises(ValueError, match="has 53174 candidate labels, above the cap of 50000"):
+        check_labels(Fraction(42), 42)
+    with pytest.raises(ValueError, match="candidate labels"):
+        decompose(ctx("S", 100, "perm", 100))

@@ -20,8 +20,8 @@ SUBMODULES = ["arith", "bijection", "branch", "bratteli", "dims", "oracle", "you
 
 PUBLIC = sorted(SUBMODULES + [
     "AltLabel", "BratteliDiagram", "GroupModuleContext", "ScaleExceeded",
-    "alt_labels", "bell", "bell_restricted", "binomial", "build_diagram", "character_mn",
-    "conjugacy_classes", "conjugate", "decompose", "dim_model_block",
+    "alt_labels", "bell", "bell_restricted", "binomial", "block_dimension", "build_diagram",
+    "character_mn", "conjugacy_classes", "conjugate", "decompose", "dim_model_block",
     "dim_partition_algebra_irr", "dim_qp_irr", "dim_qz", "dim_qz_alt", "dim_qz_alt_half",
     "dim_qz_half", "dim_z", "dim_z_algebra", "dim_z_alt", "dim_z_alt_half", "dim_z_half",
     "enumerate_paths", "export", "format_partition", "hook_length",
@@ -35,7 +35,7 @@ PUBLIC = sorted(SUBMODULES + [
 
 
 def test_public_names_resolve():
-    assert len(PUBLIC) == 58
+    assert len(PUBLIC) == 59
     assert sorted(centdim.__all__) == PUBLIC
     assert set(PUBLIC) <= set(dir(centdim))
     for name in PUBLIC:
@@ -79,6 +79,47 @@ def test_star_import_in_a_fresh_process():
         "print(centdim.__version__)\n"
     )
     assert lines == [str(PUBLIC), "0.1.0"]
+
+
+def test_memos_answer_alike_cold_and_warm():
+    # (3, 1.0) == (3, 1) and 3.0 == 3, and each pair hashes alike: a memo
+    # read before the argument check would answer the first once the second
+    # had been asked
+    lines = fresh(
+        "from centdim.arith import signed_stirling2, stirling2\n"
+        "from centdim.young import num_skew_syt, num_syt\n"
+        "def outcome(f, args):\n"
+        "    try:\n"
+        "        return repr(f(*args))\n"
+        "    except Exception as exc:\n"
+        "        return f'{type(exc).__name__}: {exc}'\n"
+        "cases = [(num_syt, ((3, 1.0),), ((3, 1),)),\n"
+        "         (num_skew_syt, ((3, 1.0),), ((3, 1),)),\n"
+        "         (stirling2, (3.0, 2), (3, 2)),\n"
+        "         (signed_stirling2, (3.0, 2), (3, 2))]\n"
+        "print(*[outcome(f, bad) for f, bad, _ in cases], sep='\\n')\n"
+        "for f, _, good in cases:\n"
+        "    f(*good)\n"
+        "print(*[outcome(f, bad) for f, bad, _ in cases], sep='\\n')\n"
+    )
+    cold = [
+        "ValueError: not a valid partition: (3, 1.0)",
+        "ValueError: not a valid partition: (3, 1.0)",
+        "TypeError: Stirling numbers need integers k and t, got 3.0, 2",
+        "TypeError: Stirling numbers need integers k and t, got 3.0, 2",
+    ]
+    assert lines == cold + cold
+
+
+def test_cli_resolves_its_entry_points_through_the_package():
+    from centdim import cli, dims
+
+    assert centdim.block_dimension is dims.block_dimension
+    for name in cli._LIBRARY:
+        assert getattr(cli, name) is getattr(centdim, name), name
+    assert not hasattr(cli, "__path__")
+    with pytest.raises(AttributeError, match="module 'centdim.cli' has no attribute 'dims'"):
+        cli.dims
 
 
 # Runs the CLI as `python -m centdim.cli` does, then prints the exit code and
