@@ -14,15 +14,16 @@ the full step. Reversing from (P, T) removes the entries k down to 1,
 reinserting 0 for a singleton block and the second-largest member
 otherwise.
 
-Each direction validates its input once (check_path's rules for a walk,
-the pair checks for a pair) and then replays on one mutable tableau, so a
-walk of length 2k costs O(k) row operations after that single validating
-pass. check_path first checks in one pass that every entry of the walk is
-of type int, and then looks up each remove/add step pair in a memo keyed
-on its three shapes, which checks them with is_partition and diffs them
-once per process. A walk that fails the type check or a lookup goes
-through the rules one by one, and only that route raises. pair_to_path
-reinserts each entry's predecessor in its block, read from one table.
+Each direction checks its input in the function that replays it, on the
+state the replay then uses, so a walk of length 2k costs O(k) row
+operations after one checking pass. path_to_pair first checks in one pass
+that every entry of the walk is of type int, and then looks up each
+remove/add step pair in a memo keyed on its three shapes, which checks
+them with is_partition and diffs them once per process. A walk that fails
+the type check or a lookup goes through the rules one by one, and only
+that route raises. pair_to_path checks the sorted blocks and the working
+copy of the tableau it edits, and reinserts each entry's predecessor in
+its block, read from one table.
 
 Tableaux are tuples of tuples of ints; set partitions are tuples of tuples,
 blocks ordered by minimum.
@@ -152,24 +153,15 @@ def _step(before, middle, after):
     return removed[0], added
 
 
-def check_path(path, n):
-    """Validate a vacillating walk; returns, for each remove/add step pair,
-    the row of the cell it removes and the 1-based cell it adds."""
-    _check_n(n)
-    shapes = tuple(map(tuple, path))
-    if len(shapes) % 2 == 0 or not shapes:
-        raise ValueError("malformed path: need shapes at levels 0, 1/2, ..., k")
-    if shapes[0] == (n,) and set(map(type, chain.from_iterable(shapes))) <= {int}:
-        steps = list(map(_step, shapes[::2], shapes[1::2], shapes[2::2]))
-        if None not in steps:
-            return steps
-    return _check_path_in_order(shapes, n)
+def _check_n(n):
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
 
 
 def _check_path_in_order(shapes, n):
-    """check_path's rules one by one, unmemoized: every shape, then the
-    start, then every step. The first rule broken raises; a walk that breaks
-    none, such as one with bool entries, gets its step records."""
+    """A walk's rules one by one, unmemoized: every shape, then the start,
+    then every step. The first rule broken raises; a walk that breaks none,
+    such as one with bool entries, gets its step records."""
     for s in shapes:
         if not is_partition(s):
             raise ValueError(f"malformed path: bad shape {s}")
@@ -194,10 +186,19 @@ def _check_path_in_order(shapes, n):
 def path_to_pair(path, n):
     """Replay a walk into its (set partition, zeroed tableau) pair.
 
-    The walk is validated once; the replay reuses the step records
-    validation found and edits one mutable tableau in place.
+    Checking the walk yields, for each remove/add step pair, the row of the
+    cell it removes and the 1-based cell it adds; the replay follows those
+    records on one mutable tableau.
     """
-    steps = check_path(path, n)
+    _check_n(n)
+    shapes = tuple(map(tuple, path))
+    if len(shapes) % 2 == 0:
+        raise ValueError("malformed path: need shapes at levels 0, 1/2, ..., k")
+    steps = None
+    if shapes[0] == (n,) and set(map(type, chain.from_iterable(shapes))) <= {int}:
+        steps = list(map(_step, shapes[::2], shapes[1::2], shapes[2::2]))
+    if steps is None or None in steps:
+        steps = _check_path_in_order(shapes, n)
     work = [[0] * n]
     blocks = []
     by_max = {}  # each open block, keyed by its current maximum
@@ -221,46 +222,31 @@ def path_to_pair(path, n):
     return tuple(map(tuple, blocks)), tuple(map(tuple, work))
 
 
-def _check_n(n):
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+def pair_to_path(blocks, tableau, n):
+    """Rebuild the walk from a (set partition, zeroed tableau) pair.
 
-
-def _check_pair(blocks, tableau, n):
+    The pair is checked on the lists the replay then edits: each block
+    sorted, the rows copied into work and their lengths into shape.
+    """
     _check_n(n)
-    blocks = tuple([tuple(sorted(b)) for b in blocks])
-    members = []
-    for b in blocks:
-        members.extend(b)
-    members.sort()
+    blocks = [sorted(b) for b in blocks]
+    members = sorted(chain.from_iterable(blocks))
     k = len(members)
-    if members != list(range(1, k + 1)) or () in blocks:
+    if members != list(range(1, k + 1)) or [] in blocks:
         raise ValueError(f"incompatible pair: blocks must partition 1..{k}")
-    blocks = tuple(sorted(blocks))  # minima are distinct, so this orders by minimum
-    rows = tuple([tuple(r) for r in tableau])
-    if not rows or not is_semistandard(rows):
+    work = [list(r) for r in tableau]
+    if not work or not is_semistandard(work):
         raise ValueError("incompatible pair: tableau is not semistandard")
-    entries = []
-    for r in rows:
-        entries.extend(r)
-    if len(entries) != n:
+    shape = list(map(len, work))  # row lengths of work, kept in step with it
+    if sum(shape) != n:
         raise ValueError(f"incompatible pair: tableau must have {n} cells")
-    entries.sort()
-    maxima = sorted([b[-1] for b in blocks])
-    expected = [0] * (n - len(blocks)) + maxima
+    entries = sorted(chain.from_iterable(work))
+    expected = [0] * (n - len(blocks)) + sorted([b[-1] for b in blocks])
     if len(blocks) > n or entries != expected:
         raise ValueError(
             "incompatible pair: tableau entries must be the block maxima "
             f"with {n} - t zeros (got {entries}, wanted {expected})"
         )
-    return blocks, rows, k
-
-
-def pair_to_path(blocks, tableau, n):
-    """Rebuild the walk from a (set partition, zeroed tableau) pair."""
-    blocks, rows, k = _check_pair(blocks, tableau, n)
-    work = [list(r) for r in rows]
-    shape = [len(r) for r in rows]  # row lengths of work, kept in step with it
     # each entry's predecessor in its block; a block minimum has none
     before = {
         upper: lower for b in blocks if len(b) > 1 for lower, upper in zip(b, b[1:])

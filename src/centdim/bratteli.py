@@ -28,7 +28,6 @@ document: json.dumps with indent runs the pure-Python encoder, which cost
 several times the rest of an export.
 """
 
-import json
 from fractions import Fraction
 from functools import cache
 
@@ -41,7 +40,7 @@ from .branch import (
     restrict_sym,
     restrict_sym_to_alt,
 )
-from .dims import check_labels, check_level, check_scale, format_level
+from .dims import check_labels, check_level, check_scale, check_tower, format_level
 from .young import check_partition, partition_sort_key
 
 
@@ -117,10 +116,10 @@ def build_diagram(group, n, module, max_level):
     the reflection module. Each distinct label is restricted or induced
     once per process, when the first row below it is built; later rows and
     builds read the memo. Rows k and k + 1/2 hold the stable-range labels
-    of dims.decompose, so the top integer row is the largest, and a tower
-    whose top row holds more than dims.MAX_LABELS is refused before any
-    row is built. The S root is checked as a partition up front, so a
-    non-integer n is refused at every level, 0 included.
+    of dims.decompose; a top row above dims.MAX_LABELS, or rows above
+    dims.MAX_STIRLING_CELLS in all, are refused before any row is built.
+    The S root is checked as a partition up front, so a non-integer n is
+    refused at every level, 0 included.
     """
     if group not in ("S", "A"):
         raise ValueError(f"group must be 'S' or 'A', got {group!r}")
@@ -139,6 +138,7 @@ def build_diagram(group, n, module, max_level):
     else:
         (root,) = restrict_sym_to_alt((n,))
         sort_key = AltLabel.sort_key
+    check_tower(max_level, n)
     rows = [[(root, 1)]]
     edges = [[]]
 
@@ -236,6 +236,8 @@ def _export_json(diagram):
     """The text json.dumps(doc, indent=2) gives the tower's document, with
     "pair", "module" and, per row, "level", "vertices", "edges" and
     "squareSum"; counts and square sums are strings."""
+    import json
+
     quoted = _label_texts(diagram, lambda label: json.dumps(format_label(label)))
     levels = []
     for i, row in enumerate(diagram.rows):

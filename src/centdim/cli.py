@@ -137,24 +137,15 @@ def _cmd_decompose(args):
 
 
 def _cmd_bratteli(args):
+    group, n = _parse_pair(args.pair)
     from .dims import parse_level
 
-    group, n = _parse_pair(args.pair)
     levels = _usage_parse(parse_level, args.levels, "levels")
     lib = _lib()
     diagram = lib.build_diagram(group, n, args.module, levels)
     with _exact_output():
         sys.stdout.write(lib.export(diagram, args.format))
     return 0
-
-
-def _load_json(text):
-    import json
-
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise _LiteralError(f"bad json input: {exc}") from None
 
 
 def _as_shape_list(doc, key):
@@ -171,7 +162,10 @@ def _cmd_bijection(args):
     import json
 
     text = args.input if args.input is not None else sys.stdin.read()
-    doc = _load_json(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise _LiteralError(f"bad json input: {exc}") from None
     if args.direction == "to-pair":
         path = _as_shape_list(doc, "path")
         blocks, tableau = _lib().path_to_pair(path, args.n)

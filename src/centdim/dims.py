@@ -137,6 +137,23 @@ def check_labels(level, size):
         )
 
 
+def check_tower(level, size):
+    """Refuse a tower to level whose rows hold more than MAX_STIRLING_CELLS
+    stable-range labels in all: integer rows hold labels of the given size,
+    half rows labels of size - 1. Every row from k = m - 1 on holds all the
+    partitions of m, so that count is read once."""
+    k = level_floor(level)
+    total = 0
+    for top, m in ((k, size), (int(2 * level) - k - 1, size - 1)):
+        counts = [stable_count(j, m) for j in range(min(top, m - 1) + 1)]
+        total += sum(counts) + (top + 1 - len(counts)) * counts[-1] if counts else 0
+    if total > MAX_STIRLING_CELLS:
+        raise ValueError(
+            f"tower to level {format_level(level)} with labels of size {size} has "
+            f"{total} candidate vertices, above the cap of {MAX_STIRLING_CELLS}"
+        )
+
+
 def format_level(level):
     return str(Fraction(level))
 

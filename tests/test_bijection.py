@@ -102,6 +102,115 @@ def test_pair_errors():
         pair_to_path(((1,),), ((0, 1),), 2.0)
 
 
+NEED_ODD = "malformed path: need shapes at levels 0, 1/2, ..., k"
+
+# (path, n, outcome): the walk's result, or the exact type and message of
+# what it raises. The rules run in this order: n, the number of shapes,
+# every shape, the start, then every step.
+WALK_TABLE = [
+    # each rule broken alone
+    (((4,), (3,), (3, 1)), 0, (ValueError, "n must be a positive integer, got 0")),
+    (((4,), (3,), (3, 1)), "4", (ValueError, "n must be a positive integer, got 4")),
+    ((), 4, (ValueError, NEED_ODD)),
+    (((4,), (3,)), 4, (ValueError, NEED_ODD)),
+    (((4,), (3,), (1, 3)), 4, (ValueError, "malformed path: bad shape (1, 3)")),
+    (((4,), (3, 0), (4,)), 4, (ValueError, "malformed path: bad shape (3, 0)")),
+    (((3,),), 4, (ValueError, "malformed path: must start at (4,)")),
+    (
+        ((4,), (4,), (4,)), 4,
+        (ValueError, "malformed path: step 1 must remove one cell ((4,) -> (4,))"),
+    ),
+    (
+        ((4,), (3,), (3,)), 4,
+        (ValueError, "malformed path: step 2 must add one cell ((3,) -> (3,))"),
+    ),
+    (
+        ((4,), (3,), (5,)), 4,
+        (ValueError, "malformed path: step 2 must add one cell ((3,) -> (5,))"),
+    ),
+    (
+        ((4,), (3,), (3, 1), (2, 1), (3, 1, 1)), 4,
+        (ValueError, "malformed path: step 4 must add one cell ((2, 1) -> (3, 1, 1))"),
+    ),
+    # two rules broken at once: the earlier rule speaks
+    ((), 0, (ValueError, "n must be a positive integer, got 0")),
+    (((4,), (1, 3)), 4, (ValueError, NEED_ODD)),
+    (((3,), (1, 3), (3,)), 4, (ValueError, "malformed path: bad shape (1, 3)")),
+    (((3,), (3,), (3,)), 4, (ValueError, "malformed path: must start at (4,)")),
+    (
+        ((4,), (4,), (5,)), 4,
+        (ValueError, "malformed path: step 1 must remove one cell ((4,) -> (4,))"),
+    ),
+    (
+        ((4,), (4,), (3, 1), (2, 1), (2, 1.5)), 4,
+        (ValueError, "malformed path: bad shape (2, 1.5)"),
+    ),
+    # bool entries are ints; float entries and a float n are not
+    (((2,), (1,), (1, True)), 2, (((1,),), ((0,), (1,)))),
+    (((2,), (True,), (2,)), 2, (((1,),), ((0, 1),))),
+    (((1,), (), (1,)), True, (((1,),), ((1,),))),
+    (((4,), (3,), (3, 1.0)), 4, (ValueError, "malformed path: bad shape (3, 1.0)")),
+    (((4.0,),), 4, (ValueError, "malformed path: bad shape (4.0,)")),
+    (((2,), (1,), (2,)), 2.0, (ValueError, "n must be a positive integer, got 2.0")),
+]
+
+ENTRIES = "incompatible pair: tableau entries must be the block maxima with "
+
+# (blocks, tableau, n, outcome), as above. The rules run in this order: n,
+# the blocks, semistandardness, the number of cells, then the entries.
+PAIR_TABLE = [
+    # each rule broken alone
+    (((1,),), ((0, 1),), 0, (ValueError, "n must be a positive integer, got 0")),
+    (((1,),), ((0, 0, 1),), "3", (ValueError, "n must be a positive integer, got 3")),
+    (((1,), (3,)), ((0, 1, 3),), 3, (ValueError, "incompatible pair: blocks must partition 1..2")),
+    (((1, 1),), ((0, 1),), 2, (ValueError, "incompatible pair: blocks must partition 1..2")),
+    (((1,),), (), 3, (ValueError, "incompatible pair: tableau is not semistandard")),
+    (((1,),), ((1, 0, 0),), 3, (ValueError, "incompatible pair: tableau is not semistandard")),
+    (((1,),), ((0, 0), ()), 3, (ValueError, "incompatible pair: tableau is not semistandard")),
+    (((1,),), ((0, 1),), 3, (ValueError, "incompatible pair: tableau must have 3 cells")),
+    (
+        ((1, 2),), ((0, 0, 0, 1),), 4,
+        (ValueError, ENTRIES + "4 - t zeros (got [0, 0, 0, 1], wanted [0, 0, 0, 2])"),
+    ),
+    (
+        ((1,), (2,), (3,)), ((2, 3),), 2,
+        (ValueError, ENTRIES + "2 - t zeros (got [2, 3], wanted [1, 2, 3])"),
+    ),
+    # two rules broken at once: the earlier rule speaks
+    (((1,), (3,)), ((0, 1),), 0, (ValueError, "n must be a positive integer, got 0")),
+    (((1,), (3,)), ((1, 0),), 3, (ValueError, "incompatible pair: blocks must partition 1..2")),
+    (((1,),), ((1, 0),), 3, (ValueError, "incompatible pair: tableau is not semistandard")),
+    (((1,),), ((0, 2),), 3, (ValueError, "incompatible pair: tableau must have 3 cells")),
+    # an empty block, blocks out of order, bool and float entries, a float n
+    (((), (1,)), ((0, 0, 1),), 3, (ValueError, "incompatible pair: blocks must partition 1..1")),
+    (((3,), (2, 1)), ((0, 2, 3),), 3, ((3,), (2,), (3,), (2,), (2, 1), (2,), (3,))),
+    (((True, 2),), ((0, 2),), 2, ((2,), (1,), (2,), (1,), (2,))),
+    (((1, 2.0),), ((0, 2),), 2, ((2,), (1,), (2,), (1,), (2,))),
+    (((1,),), ((0, 0, 1.0),), 3, ((3,), (2,), (3,))),
+    (((1,),), ((0.0, 0, 1),), 3, ((3,), (2,), (3,))),
+    (((1, 2.5),), ((0, 2),), 2, (ValueError, "incompatible pair: blocks must partition 1..2")),
+    (((1,),), ((0, 1),), 2.0, (ValueError, "n must be a positive integer, got 2.0")),
+]
+
+
+def outcome(fn, *args):
+    """fn's result, or the exact type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("path, n, expected", WALK_TABLE)
+def test_walk_table(path, n, expected):
+    assert outcome(path_to_pair, path, n) == expected
+
+
+@pytest.mark.parametrize("blocks, tableau, n, expected", PAIR_TABLE)
+def test_pair_table(blocks, tableau, n, expected):
+    assert outcome(pair_to_path, blocks, tableau, n) == expected
+
+
 def fillings_of_shape(lam, values):
     """All semistandard fillings of lam using exactly the given multiset."""
     cells = [(r, c) for r, row_len in enumerate(lam) for c in range(row_len)]

@@ -154,6 +154,22 @@ def test_build_refuses_a_non_integer_n_at_every_level():
                 assert str(info.value) == f"not a valid partition: ({n!r},)"
 
 
+def test_tower_cap_counts_every_vertex(monkeypatch):
+    # an S perm row holds exactly the stable-range labels its count sums, so
+    # a cap equal to the tower's vertex total admits it and one less refuses it
+    for n, top in ((2, Fraction(5)), (6, Fraction(7, 2)), (9, Fraction(12))):
+        monkeypatch.undo()
+        vertices = sum(map(len, build_diagram("S", n, "perm", top).rows))
+        monkeypatch.setattr("centdim.dims.MAX_STIRLING_CELLS", vertices)
+        build_diagram("S", n, "perm", top)
+        monkeypatch.setattr("centdim.dims.MAX_STIRLING_CELLS", vertices - 1)
+        with pytest.raises(ValueError) as info:
+            build_diagram("S", n, "perm", top)
+        assert str(info.value).endswith(
+            f"has {vertices} candidate vertices, above the cap of {vertices - 1}"
+        )
+
+
 def test_text_export():
     diagram = build_diagram("S", 4, "perm", Fraction(2))
     text = export(diagram, "text")

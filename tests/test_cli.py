@@ -660,6 +660,18 @@ def test_label_cap_exits_3_at_once(capsys, argv):
     assert time.perf_counter() - start < 1
 
 
+def test_tower_cap_exits_3_at_once(capsys):
+    # the top row's 44,583 labels pass the label cap; the tower's 83 rows
+    # hold 1,059,571 labels in all, about 16 s and 760 MB of building
+    start = time.perf_counter()
+    code, out, err = run(capsys, "bratteli", "--pair", "S:41", "--module", "perm",
+                         "--levels", "41")
+    assert (code, out) == (3, "")
+    assert err == ("error: tower to level 41 with labels of size 41 has 1059571 candidate "
+                   "vertices, above the cap of 500000\n")
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("level, line", [
     ("1e-5000", "error: bad level: level must be a nonnegative half-integer, got 1e-5000"),
     ("x", "error: bad level: cannot parse level 'x'"),

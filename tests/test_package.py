@@ -196,3 +196,24 @@ def test_malformed_argv_loads_no_submodule():
     )
     assert (code, out) == (2, [])
     assert {m for m in modules if m.split(".")[0] == "centdim"} == {"centdim"}
+
+
+def test_bad_pair_loads_no_submodule():
+    code, out, modules = cli_footprint(
+        "bratteli", "--pair", "Q:4", "--module", "perm", "--levels", "3"
+    )
+    assert (code, out) == (2, [])
+    assert {m for m in modules if m.split(".")[0] == "centdim"} == {"centdim"}
+
+
+@pytest.mark.parametrize("argv, loads_json", [
+    ("bratteli --pair S:4 --module perm --levels 2", False),
+    ("bratteli --pair A:5 --module refl --levels 3/2 --format dot", False),
+    ("verify --scope golden", False),
+    ("bratteli --pair S:4 --module perm --levels 1 --format json", True),
+])
+def test_only_the_json_export_loads_json(argv, loads_json):
+    code, out, modules = cli_footprint(*argv.split())
+    assert code == 0 and out
+    assert "centdim.bratteli" in modules
+    assert ("json" in modules) == loads_json
