@@ -16,14 +16,14 @@ otherwise.
 
 Each direction checks its input in the function that replays it, on the
 state the replay then uses, so a walk of length 2k costs O(k) row
-operations after one checking pass. path_to_pair first checks in one pass
-that every entry of the walk is of type int, and then looks up each
-remove/add step pair in a memo keyed on its three shapes, which checks
-them with is_partition and diffs them once per process. A walk that fails
-the type check or a lookup goes through the rules one by one, and only
-that route raises. pair_to_path checks the sorted blocks and the working
-copy of the tableau it edits, and reinserts each entry's predecessor in
-its block, read from one table.
+operations after one checking pass. _step is the one function that turns
+a remove/add step pair into the record the replay follows. path_to_pair
+reads it through its memo, keyed on the pair's three shapes, when every
+entry of the walk is of type int, and unmemoized otherwise. When the start
+is wrong, a record is missing or the walk is not all-int, the rules are
+checked one by one, only to name the first one broken. pair_to_path checks
+the sorted blocks and the working copy of the tableau it edits, and
+reinserts each entry's predecessor in its block, read from one table.
 
 Tableaux are tuples of tuples of ints; set partitions are tuples of tuples,
 blocks ordered by minimum.
@@ -141,8 +141,9 @@ def _step(before, middle, after):
     None when a shape is not a partition or a half step does not move
     exactly one cell. Memoized per shape triple.
 
-    Only for shapes whose entries are all of type int: (3, 1.0) == (3, 1)
-    and both hash alike, so a lookup on other entries could accept a float.
+    The memo is only for shapes whose entries are all of type int: (3, 1.0)
+    == (3, 1) and both hash alike, so a lookup on other entries could accept
+    a float. Other shapes go through _step.__wrapped__.
     """
     if not (is_partition(before) and is_partition(middle) and is_partition(after)):
         return None
@@ -159,46 +160,37 @@ def _check_n(n):
 
 
 def _check_path_in_order(shapes, n):
-    """A walk's rules one by one, unmemoized: every shape, then the start,
-    then every step. The first rule broken raises; a walk that breaks none,
-    such as one with bool entries, gets its step records."""
+    """Raise for the first rule a walk breaks, unmemoized: every shape, then
+    the start, then every step."""
     for s in shapes:
         if not is_partition(s):
             raise ValueError(f"malformed path: bad shape {s}")
     if shapes[0] != (n,):
         raise ValueError(f"malformed path: must start at ({n},)")
-    cells = [
-        _one_box_difference(shapes[i - 1], shapes[i])
-        if i % 2
-        else _one_box_difference(shapes[i], shapes[i - 1])
-        for i in range(1, len(shapes))
-    ]
-    if None in cells:
-        i = cells.index(None) + 1
-        verb = "remove" if i % 2 else "add"
-        raise ValueError(
-            f"malformed path: step {i} must {verb} one cell "
-            f"({shapes[i - 1]} -> {shapes[i]})"
-        )
-    return [(cells[i][0], cells[i + 1]) for i in range(0, len(cells), 2)]
+    for i, (before, after) in enumerate(zip(shapes, shapes[1:]), 1):
+        bigger, smaller, verb = (before, after, "remove") if i % 2 else (after, before, "add")
+        if _one_box_difference(bigger, smaller) is None:
+            raise ValueError(
+                f"malformed path: step {i} must {verb} one cell ({before} -> {after})"
+            )
 
 
 def path_to_pair(path, n):
     """Replay a walk into its (set partition, zeroed tableau) pair.
 
-    Checking the walk yields, for each remove/add step pair, the row of the
-    cell it removes and the 1-based cell it adds; the replay follows those
-    records on one mutable tableau.
+    _step gives, for each remove/add step pair, the row of the cell it
+    removes and the 1-based cell it adds; the replay follows those records
+    on one mutable tableau.
     """
     _check_n(n)
     shapes = tuple(map(tuple, path))
     if len(shapes) % 2 == 0:
         raise ValueError("malformed path: need shapes at levels 0, 1/2, ..., k")
-    steps = None
-    if shapes[0] == (n,) and set(map(type, chain.from_iterable(shapes))) <= {int}:
-        steps = list(map(_step, shapes[::2], shapes[1::2], shapes[2::2]))
-    if steps is None or None in steps:
-        steps = _check_path_in_order(shapes, n)
+    memo = shapes[0] == (n,) and set(map(type, chain.from_iterable(shapes))) <= {int}
+    step = _step if memo else _step.__wrapped__
+    steps = list(map(step, shapes[::2], shapes[1::2], shapes[2::2]))
+    if not memo or None in steps:
+        _check_path_in_order(shapes, n)
     work = [[0] * n]
     blocks = []
     by_max = {}  # each open block, keyed by its current maximum

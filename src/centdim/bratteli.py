@@ -118,8 +118,8 @@ def build_diagram(group, n, module, max_level):
     builds read the memo. Rows k and k + 1/2 hold the stable-range labels
     of dims.decompose; a top row above dims.MAX_LABELS, or rows above
     dims.MAX_STIRLING_CELLS in all, are refused before any row is built.
-    The S root is checked as a partition up front, so a non-integer n is
-    refused at every level, 0 included.
+    The root is built before any cap reads n, so a non-integer n is refused
+    as a partition at every level, 0 included.
     """
     if group not in ("S", "A"):
         raise ValueError(f"group must be 'S' or 'A', got {group!r}")
@@ -128,16 +128,15 @@ def build_diagram(group, n, module, max_level):
     minimum = 2 if group == "S" else 4
     if n < minimum:
         raise ValueError(f"group {group} needs n >= {minimum}, got {n}")
-    max_level = check_level(max_level)
-    check_scale(max_level, n)
-    check_labels(max_level, n)
-
     if group == "S":
         root = check_partition((n,))
         sort_key = partition_sort_key
     else:
         (root,) = restrict_sym_to_alt((n,))
         sort_key = AltLabel.sort_key
+    max_level = check_level(max_level)
+    check_scale(max_level, n)
+    check_labels(max_level, n)
     check_tower(max_level, n)
     rows = [[(root, 1)]]
     edges = [[]]

@@ -164,7 +164,7 @@ def _cmd_bijection(args):
     text = args.input if args.input is not None else sys.stdin.read()
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise _LiteralError(f"bad json input: {exc}") from None
     if args.direction == "to-pair":
         path = _as_shape_list(doc, "path")

@@ -23,7 +23,7 @@ from functools import cache
 
 # bell_restricted and kostka_hook_type are unused; the bench tracer binds them.
 from .arith import bell_restricted, binomial, signed_stirling2, stirling2
-from .branch import _fold, alt_labels
+from .branch import AltLabel, _fold, alt_labels
 from .young import (
     bounded_partitions,
     check_partition,
@@ -239,6 +239,8 @@ def _shapes(ctx, label):
         if sum(lam) != m:
             raise ValueError(f"expected a partition of {m}, got {lam}")
         return (lam,)
+    if not isinstance(label, AltLabel):
+        raise ValueError(f"an A label must be an AltLabel, got {label!r}")
     if label.size != m:
         raise ValueError(f"expected a label of size {m}, got {label}")
     base = label.base

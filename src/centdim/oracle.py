@@ -17,6 +17,7 @@ from functools import cache
 from math import factorial
 
 from .arith import set_partitions
+from .branch import AltLabel
 from .young import check_partition, partitions_of
 
 
@@ -130,6 +131,8 @@ def multiplicity_oracle(ctx, label):
             raise ValueError(f"expected a partition of {m}, got {lam}")
         base, sign = lam, None
     else:
+        if not isinstance(label, AltLabel):
+            raise ValueError(f"an A label must be an AltLabel, got {label!r}")
         base, sign = label.base, label.sign
         if sum(base) != m:
             raise ValueError(f"expected a label of size {m}, got {label}")

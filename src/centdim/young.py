@@ -21,7 +21,10 @@ def is_partition(seq):
 
 
 def check_partition(seq, what="partition"):
-    lam = tuple(seq)
+    try:
+        lam = tuple(seq)
+    except TypeError:  # not a sequence at all, such as an AltLabel
+        raise ValueError(f"not a valid {what}: {seq!r}") from None
     if not is_partition(lam):
         raise ValueError(f"not a valid {what}: {lam!r}")
     return lam

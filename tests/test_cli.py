@@ -230,6 +230,35 @@ def test_exit_codes(capsys):
     assert code == 3
 
 
+def test_undecodable_json_exits_2(capsys, monkeypatch):
+    # too deep for the decoder, or an integer past the interpreter's digit
+    # cap: unreadable like any other bad json, on stdin or from --input
+    deep = "[" * 3000 + "]" * 3000
+    digits = '{"path":[[' + "9" * 5000 + "]]}"
+    for doc in (deep, digits):
+        for direction in ("to-pair", "to-path"):
+            for source in ((), ("--input", doc)):
+                monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+                code, out, err = run(
+                    capsys, "bijection", "--n", "4", "--direction", direction, *source
+                )
+                assert (code, out) == (2, "")
+                assert err.startswith("error: bad json input: ") and err.count("\n") == 1
+    # other bad json keeps its exact line
+    for source, message in (
+        (("--input", "{not json"), "line 1 column 2 (char 1)"),
+        ((), "line 2 column 1 (char 2)"),
+    ):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("{\n"))
+        code, out, err = run(
+            capsys, "bijection", "--n", "4", "--direction", "to-pair", *source
+        )
+        assert (code, out, err) == (
+            2, "", "error: bad json input: Expecting property name enclosed in "
+            f"double quotes: {message}\n"
+        )
+
+
 def test_verify_command(capsys):
     code, out, _ = run(capsys, "verify", "--scope", "golden")
     assert code == 0

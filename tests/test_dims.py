@@ -34,6 +34,7 @@ from centdim.dims import (
     stable_count,
     stable_shapes,
 )
+from centdim.oracle import multiplicity_oracle
 from centdim.young import (
     conjugate,
     num_skew_syt,
@@ -485,6 +486,22 @@ def test_block_dimension_dispatch():
     assert block_dimension(ctx("A", 4, "perm", Fraction(7, 2)), AltLabel((3,))) == 22
     assert block_dimension(ctx("S", 6, "refl", 4), (4, 2)) == 13
     assert block_dimension(ctx("A", 6, "refl", 4), AltLabel((3, 2, 1), "-")) == 12
+
+
+def test_a_label_of_the_wrong_kind_is_refused():
+    # an S context given an AltLabel, an A context given a tuple: the kernel
+    # and the oracle both refuse it as bad input, not with a TypeError
+    cases = (
+        (ctx("S", 4, "perm", 3), AltLabel((3, 1)),
+         "not a valid partition: AltLabel((3, 1), None)"),
+        (ctx("A", 4, "refl", Fraction(5, 2)), (3, 1),
+         "an A label must be an AltLabel, got (3, 1)"),
+    )
+    for fn in (block_dimension, multiplicity_oracle):
+        for context, label, message in cases:
+            with pytest.raises(ValueError) as info:
+                fn(context, label)
+            assert str(info.value) == message
 
 
 def test_stable_shapes_are_the_first_row_range_in_order():
