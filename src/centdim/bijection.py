@@ -14,7 +14,8 @@ the full step. Reversing from (P, T) removes the entries k down to 1,
 reinserting 0 for a singleton block and the second-largest member
 otherwise.
 
-Each direction checks its input in the function that replays it, on the
+Both directions refuse n above MAX_N before reading the input. Each
+direction checks its input in the function that replays it, on the
 state the replay then uses, so a walk of length 2k costs O(k) row
 operations after one checking pass. _step is the one function that turns
 a remove/add step pair into the record the replay follows. path_to_pair
@@ -154,9 +155,16 @@ def _step(before, middle, after):
     return removed[0], added
 
 
+# The most letters a walk or pair may be on: the replays hold a row of n
+# entries, and the answer prints it.
+MAX_N = 10_000
+
+
 def _check_n(n):
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
+    if n > MAX_N:
+        raise ValueError(f"n must be at most {MAX_N}, got {n}")
 
 
 def _check_path_in_order(shapes, n):

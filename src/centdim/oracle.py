@@ -5,7 +5,10 @@ Two oracles, deliberately sharing nothing with dims:
 * multiplicity_oracle counts irreducibles by exact character inner products.
   The module character value on a class is just a fixed-point count (minus
   one for the reflection module), raised to the tensor exponent, so the
-  whole inner product stays in integer arithmetic.
+  whole inner product stays in integer arithmetic. It depends on the class
+  only through its fixed points f, so the class sum is grouped once per
+  label into sums a_f of |C| chi(C), and each level is one dot product of
+  the a_f with the powers of the module values.
 
 * pair_count_oracle counts set-partition / tableau pairs directly, which is
   the combinatorial object the permutation-module dimensions enumerate.
@@ -100,18 +103,19 @@ def character_mn(lam, ct):
     return total
 
 
-def _module_value(ct, n, module):
-    """Character of the tensor factor on a class of the acting group,
-    evaluated on its natural n letters: fixed points for the permutation
-    module, fixed points minus one for the reflection module."""
-    fixed = sum(1 for part in ct if part == 1) + (n - sum(ct))
-    return fixed - (1 if module == "refl" else 0)
-
-
-def _group_order(group, m):
-    if group == "A":
-        return factorial(m) // 2 if m >= 2 else 1
-    return factorial(m)
+@cache
+def _fixed_point_sums(base, group):
+    """The order of S_m (A_m for group 'A'), m = |base|, and (f, a_f) pairs:
+    a_f sums |C| chi_base(C) over its classes C with f fixed points.
+    Memoized per label, as a tuple; callers check the label first."""
+    m = sum(base)
+    order = 0
+    sums = {}
+    for ct, size in conjugacy_classes(m, group == "A") if m else [((), 1)]:
+        f = ct.count(1)
+        sums[f] = sums.get(f, 0) + size * character_mn(base, ct)
+        order += size
+    return order, tuple(sums.items())
 
 
 def multiplicity_oracle(ctx, label):
@@ -136,15 +140,10 @@ def multiplicity_oracle(ctx, label):
         base, sign = label.base, label.sign
         if sum(base) != m:
             raise ValueError(f"expected a label of size {m}, got {label}")
-    order = _group_order(ctx.group, m)
-    if m == 0:
-        classes = [((), 1)]
-    else:
-        classes = conjugacy_classes(m, even_only=ctx.group == "A")
-    total = 0
-    for ct, size in classes:
-        value = _module_value(ct, ctx.n, ctx.module)
-        total += size * value**k * character_mn(base, ct)
+    order, sums = _fixed_point_sums(base, ctx.group)
+    # a class with f fixed points among the m letters has module character f + shift
+    shift = ctx.n - m - (1 if ctx.module == "refl" else 0)
+    total = sum(a * (f + shift) ** k for f, a in sums)
     if total % order:
         raise ValueError(
             f"non-integer multiplicity for {label} in {ctx}: {total}/{order}"

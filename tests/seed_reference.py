@@ -35,11 +35,15 @@
   hook-type Kostka numbers, by an alternating sum of hook-formula counts,
   and no longer carries these; the tests use them as independent
   references for it.
+* multiplicity_oracle as it was, with _module_value and _group_order,
+  summing over every class again at every level. The package groups the
+  classes by fixed-point count once per label.
 
 These copies keep the earlier code exactly as it was, so the tests can
 demand byte-identical rows, edges, exports, pairs, walks, dimensions and
 error messages from the rewrites. Only code that the rewrites left alone
-(binomials, the other branching rules, the shape predicates) and the hook
+(binomials, the other branching rules, the shape predicates, the class
+tables and character values) and the hook
 Kostka numbers, which tests/test_young.py pins against num_skew_syt, are
 imported from the package. Do not edit.
 """
@@ -50,6 +54,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import factorial
 
 from centdim.arith import bell_restricted, binomial
 from centdim.bijection import tableau_shape
@@ -65,6 +70,7 @@ from centdim.branch import (
     splits_over_alt,
 )
 from centdim.dims import GROUPS, MODULES, check_level, format_level, is_half, level_floor
+from centdim.oracle import character_mn, conjugacy_classes
 from centdim.young import (
     check_partition,
     conjugate,
@@ -783,3 +789,60 @@ def kostka(lam, content):
     for mu in _horizontal_strip_predecessors(lam, content[-1]):
         total += kostka(mu, content[:-1])
     return total
+
+
+def _module_value(ct, n, module):
+    """Character of the tensor factor on a class of the acting group,
+    evaluated on its natural n letters: fixed points for the permutation
+    module, fixed points minus one for the reflection module."""
+    fixed = sum(1 for part in ct if part == 1) + (n - sum(ct))
+    return fixed - (1 if module == "refl" else 0)
+
+
+def _group_order(group, m):
+    if group == "A":
+        return factorial(m) // 2 if m >= 2 else 1
+    return factorial(m)
+
+
+def multiplicity_oracle(ctx, label):
+    """Multiplicity of label in the ctx tensor power, by characters.
+
+    Half levels embed the acting group on the first n-1 letters of the n
+    the module lives on, so fixed-point counts include the extra letter.
+    Split alternating labels are handled by the paired sum: the S-character
+    of the base integrates to mult('+') + mult('-'), which is even, and the
+    two halves are equal.
+    """
+    m = ctx.label_size
+    k = ctx.k
+    if ctx.group == "S":
+        lam = check_partition(label)
+        if sum(lam) != m:
+            raise ValueError(f"expected a partition of {m}, got {lam}")
+        base, sign = lam, None
+    else:
+        if not isinstance(label, AltLabel):
+            raise ValueError(f"an A label must be an AltLabel, got {label!r}")
+        base, sign = label.base, label.sign
+        if sum(base) != m:
+            raise ValueError(f"expected a label of size {m}, got {label}")
+    order = _group_order(ctx.group, m)
+    if m == 0:
+        classes = [((), 1)]
+    else:
+        classes = conjugacy_classes(m, even_only=ctx.group == "A")
+    total = 0
+    for ct, size in classes:
+        value = _module_value(ct, ctx.n, ctx.module)
+        total += size * value**k * character_mn(base, ct)
+    if total % order:
+        raise ValueError(
+            f"non-integer multiplicity for {label} in {ctx}: {total}/{order}"
+        )
+    mult = total // order
+    if ctx.group == "A" and sign is not None:
+        if mult % 2:
+            raise RuntimeError(f"split label {label} got odd paired sum {mult}")
+        mult //= 2
+    return mult

@@ -152,6 +152,10 @@ WALK_TABLE = [
     (((4,), (3,), (3, 1.0)), 4, (ValueError, "malformed path: bad shape (3, 1.0)")),
     (((4.0,),), 4, (ValueError, "malformed path: bad shape (4.0,)")),
     (((2,), (1,), (2,)), 2.0, (ValueError, "n must be a positive integer, got 2.0")),
+    # n above MAX_N is refused before the walk is read; MAX_N itself is not
+    (((10001,),), 10001, (ValueError, "n must be at most 10000, got 10001")),
+    ((), 10**9, (ValueError, "n must be at most 10000, got 1000000000")),
+    (((10000,),), 10000, ((), ((0,) * 10000,))),
 ]
 
 ENTRIES = "incompatible pair: tableau entries must be the block maxima with "
@@ -190,6 +194,10 @@ PAIR_TABLE = [
     (((1,),), ((0.0, 0, 1),), 3, ((3,), (2,), (3,))),
     (((1, 2.5),), ((0, 2),), 2, (ValueError, "incompatible pair: blocks must partition 1..2")),
     (((1,),), ((0, 1),), 2.0, (ValueError, "n must be a positive integer, got 2.0")),
+    # n above MAX_N is refused before the pair is read; MAX_N itself is not
+    (((1,),), ((0,) * 10000 + (1,),), 10001, (ValueError, "n must be at most 10000, got 10001")),
+    (((1, 1),), (), 10**9, (ValueError, "n must be at most 10000, got 1000000000")),
+    (((1,),), ((0,) * 9999 + (1,),), 10000, ((10000,), (9999,), (10000,))),
 ]
 
 

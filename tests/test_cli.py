@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -459,6 +460,27 @@ def test_bijection_refuses_n_below_one(capsys, n, direction, doc):
     assert err == f"error: n must be a positive integer, got {n}\n"
 
 
+@pytest.mark.parametrize(
+    "direction, doc",
+    [("to-pair", '{"path":[[10001]]}'), ("to-path", '{"setPartition":[[1]],"tableau":[[1]]}')],
+)
+def test_bijection_refuses_n_above_the_cap_before_any_row(capsys, direction, doc):
+    from centdim.bijection import MAX_N
+
+    # a row of MAX_N + 1 entries alone would take 8 bytes for each entry
+    argv = ["bijection", "--n", str(MAX_N + 1), "--direction", direction, "--input", doc]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == f"error: n must be at most {MAX_N}, got {MAX_N + 1}\n"
+    assert peak < 8 * (MAX_N + 1)
+
+
 def test_verify_refuses_an_unknown_scope():
     from centdim import verify
 
@@ -531,6 +553,16 @@ def test_deep_level_in_a_fresh_process():
     assert (proc.returncode, proc.stderr) == (0, "")
     ctx = GroupModuleContext("S", 5, "perm", Fraction(1500))
     assert proc.stdout == f"{multiplicity_oracle(ctx, (3, 2))}\n"
+
+
+def test_oracle_window_alike_under_python_o_in_a_fresh_process():
+    # -O strips assert statements, so no runtime check may rest on one
+    argv = ("-m", "centdim.cli", "verify", "--scope", "oracle", "--n-max", "6", "--k-max", "2")
+    plain = run_python(*argv)
+    assert (plain.returncode, plain.stderr) == (0, "")
+    assert plain.stdout.endswith("\nsummary: 4 suites, 0 failures\n")
+    optimized = run_python("-O", *argv)
+    assert (optimized.returncode, optimized.stdout, optimized.stderr) == (0, plain.stdout, "")
 
 
 def test_wide_label_at_a_low_level_in_a_fresh_process():

@@ -22,7 +22,7 @@ import seed_reference as ref
 from hypothesis import given, strategies as st
 
 import centdim
-from centdim import bijection, dims
+from centdim import bijection, dims, oracle
 from centdim.branch import AltLabel, alt_labels, induce_alt, restrict_alt
 from centdim.bratteli import build_diagram, enumerate_paths, export
 from centdim.dims import GroupModuleContext, decompose, labels_for
@@ -703,3 +703,80 @@ def test_group_module_context_matches_reference():
     _assert_frozen_like_reference(new[-1], old[-1], ("group", "n", "module", "level"))
     assert GroupModuleContext.__match_args__ == ref.SeedGroupModuleContext.__match_args__
     _assert_round_trips(new)
+
+
+def test_grouped_oracle_matches_reference():
+    # every label of S/A x perm/refl for n <= 10 at integer and half levels
+    # up to 8, from m = 0 (n = 1 at half levels) up
+    checks = sizes = 0
+    for group in ("S", "A"):
+        for module in ("perm", "refl"):
+            for n in range(1, 11):
+                for twice in range(17):
+                    ctx = GroupModuleContext(group, n, module, Fraction(twice, 2))
+                    for label in labels_for(ctx):
+                        got = oracle.multiplicity_oracle(ctx, label)
+                        assert got == ref.multiplicity_oracle(ctx, label), (ctx, label)
+                        checks += 1
+                    sizes |= 1 << ctx.label_size
+    assert sizes == (1 << 11) - 1
+    assert checks == 6592
+
+
+ORACLE_MEMO_PROBE = """
+from decimal import Decimal
+from fractions import Fraction
+
+import seed_reference as ref
+from centdim.branch import AltLabel
+from centdim.dims import GroupModuleContext
+from centdim.oracle import _fixed_point_sums, multiplicity_oracle
+
+
+def outcome(fn, ctx, label):
+    try:
+        return "ok", fn(ctx, label)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+checked = []  # (ctx, label), one per group and level
+spoilt = []  # (ctx, label): one part of a checked label made another type
+for group, label in (("S", (3, 1)), ("A", AltLabel((3, 1)))):
+    for level in (Fraction(2), Fraction(3)):
+        ctx = GroupModuleContext(group, 4, "perm", level)
+        checked.append((ctx, label))
+        parts = label if group == "S" else label.base
+        for kind in (float, Fraction, Decimal):
+            for i in range(len(parts)):
+                spoilt.append((ctx, parts[:i] + (kind(parts[i]),) + parts[i + 1:]))
+report = {"cold size": _fixed_point_sums.cache_info().currsize}
+report["cold"] = [outcome(multiplicity_oracle, *case) for case in spoilt]
+report["cold size after"] = _fixed_point_sums.cache_info().currsize
+report["checked"] = [multiplicity_oracle(*case) for case in checked]
+warm = _fixed_point_sums.cache_info()
+report["warm"] = [outcome(multiplicity_oracle, *case) for case in spoilt]
+report["reference"] = [outcome(ref.multiplicity_oracle, *case) for case in spoilt]
+end = _fixed_point_sums.cache_info()
+report["warm size"] = warm.currsize
+report["grown"] = end.currsize - warm.currsize
+report["new misses"] = end.misses - warm.misses
+print(repr(report))
+"""
+
+
+def test_oracle_memo_takes_only_checked_labels_in_a_fresh_process():
+    # (3, 1.0) == (3, 1) and both hash alike: once a label's sums are in the
+    # memo, only the label check keeps a float, Fraction or Decimal part out.
+    proc = run_fresh(ORACLE_MEMO_PROBE)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = ast.literal_eval(proc.stdout)
+    assert report.pop("cold size") == report.pop("cold size after") == 0
+    assert report.pop("checked") == [3, 10, 4, 16]
+    assert report.pop("warm size") == 2
+    cold = report.pop("cold")
+    assert [kind for kind, _ in cold] == ["ValueError"] * 24
+    assert [text.split(": ")[0].split(", got")[0] for _, text in cold] == (
+        ["not a valid partition"] * 12 + ["an A label must be an AltLabel"] * 12
+    )
+    assert report == {"warm": cold, "reference": cold, "grown": 0, "new misses": 0}
