@@ -30,6 +30,8 @@ _SIGN_ORDER = {None: 0, "+": 1, "-": 2}
 def canonical_base(lam):
     """The chosen name for the conjugation class {lam, lam*}."""
     lam = tuple(lam)
+    if lam and lam[0] > len(lam):  # lam* starts with len(lam), so lam > lam*
+        return lam
     star = conjugate(lam)
     return lam if lam >= star else star
 
@@ -37,7 +39,7 @@ def canonical_base(lam):
 def splits_over_alt(lam):
     """Whether the S-irreducible lam breaks in two on restriction to Alt."""
     lam = tuple(lam)
-    return lam == conjugate(lam) and sum(lam) >= 2
+    return lam[:1] == (len(lam),) and lam == conjugate(lam) and sum(lam) >= 2
 
 
 class AltLabel:

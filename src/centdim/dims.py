@@ -171,7 +171,8 @@ class GroupModuleContext:
     at an integer or half-integer level.
 
     Immutable; equal and hashed by (group, n, module, level), and equal only
-    to contexts."""
+    to contexts. Stores k (the level's floor), half and label_size (the size
+    of the partitions indexing blocks at this level) too, derived once."""
 
     __match_args__ = ("group", "n", "module", "level")
 
@@ -182,12 +183,14 @@ class GroupModuleContext:
             raise ValueError(f"module must be one of {MODULES}, got {module!r}")
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"n must be a positive integer, got {n!r}")
-        set_field = object.__setattr__
-        set_field(self, "group", group)
-        set_field(self, "n", n)
-        set_field(self, "module", module)
-        set_field(self, "level", check_level(level))
-        check_scale(self.level, self.label_size)
+        level = check_level(level)
+        half = level.denominator == 2
+        for name, value in (
+            ("group", group), ("n", n), ("module", module), ("level", level),
+            ("k", level_floor(level)), ("half", half), ("label_size", n - 1 if half else n),
+        ):
+            object.__setattr__(self, name, value)
+        check_scale(level, self.label_size)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -212,26 +215,14 @@ class GroupModuleContext:
             f"module={self.module!r}, level={self.level!r})"
         )
 
-    @property
-    def k(self):
-        return level_floor(self.level)
-
-    @property
-    def half(self):
-        return is_half(self.level)
-
-    @property
-    def label_size(self):
-        """Size of the partitions indexing blocks at this level."""
-        return self.n - 1 if self.half else self.n
-
 
 def _shapes(ctx, label):
     """Check label against ctx and return the S-shapes whose blocks make it up.
 
     An S label is its own shape. An unsigned A label is the fold of its base
     with the conjugate (once, when they coincide, as for A_0 and A_1); a
-    signed half of a split label counts its base once.
+    signed half of a split label counts its base once. A conjugate (first
+    part len(base)) outside the stable range has no terms and is not built.
     """
     m = ctx.label_size
     if ctx.group == "S":
@@ -244,7 +235,7 @@ def _shapes(ctx, label):
     if label.size != m:
         raise ValueError(f"expected a label of size {m}, got {label}")
     base = label.base
-    if label.sign is None:
+    if label.sign is None and len(base) >= m - min(m, ctx.k):
         star = conjugate(base)
         if star != base:
             return (base, star)

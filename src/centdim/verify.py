@@ -17,8 +17,8 @@ from .dims import GROUPS, MODULES, GroupModuleContext, block_dimension, labels_f
 from .oracle import MAX_N, multiplicity_oracle
 
 # The most checks an oracle window may hold; each costs one oracle and one
-# kernel call. Windows just under it, such as --n-max 2 --k-max 4999 and
-# --n-max 10 --k-max 65, run in 3 to 6 s on a 2-core machine.
+# kernel call. The largest window under it for each --n-max from 2 to 10,
+# such as --n-max 2 --k-max 4999, runs in 0.7 to 1.3 s on a 2-core machine.
 MAX_ORACLE_CHECKS = 50_000
 
 # Every subscript of the six reference towers, keyed by (group, n, module).
@@ -261,9 +261,12 @@ def run_oracle(n_max=6, k_max=4):
             checks = 0
             problems = []
             for n in range(2, n_max + 1):
+                labels = [  # at integer levels, then at half levels
+                    labels_for(GroupModuleContext(group, n, module, h)) for h in (0, Fraction(1, 2))
+                ]
                 for twice in range(0, 2 * k_max + 1):
                     ctx = GroupModuleContext(group, n, module, Fraction(twice, 2))
-                    for label in labels_for(ctx):
+                    for label in labels[twice % 2]:
                         expected = block_dimension(ctx, label)
                         got = multiplicity_oracle(ctx, label)
                         checks += 1

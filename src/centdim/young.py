@@ -143,20 +143,22 @@ def hook_terms(lam, top):
     with |mu_i| = n - lam_i + i strictly increasing, so the rows with
     |mu_i| <= top hold every nonzero term for each t <= top. The i = 0 term
     is the stable-range term. The empty shape has one term, (1, 0, 1).
+    lam is checked once: each mu_i built from it is a partition, read from _num_syt.
     """
+    lam = check_partition(lam)
     n = sum(lam)
     for i, part in enumerate(lam or (0,)):  # () as one row of length 0
         size = n - part + i
         if size > top:
             return
         mu = tuple(p + 1 for p in lam[:i]) + lam[i + 1 :]
-        yield (-1) ** i, size, num_syt(mu)
+        yield (-1) ** i, size, _num_syt(mu)
 
 
 def kostka_hook_type(lam, n, t):
     """Kostka number of lam against the hook type (n-t, 1^t), f^(lam/(n-t)),
     from hook_terms(lam, t); t = n-1 and t = n both mean (1^n). lam must be
-    a partition of n; only its size is checked."""
+    a partition of n, and is checked as one even when no term is needed."""
     lam = tuple(lam)
     if sum(lam) != n:
         raise ValueError(f"expected a partition of {n}, got {lam}")

@@ -299,6 +299,42 @@ def test_verify_reports_an_oracle_mismatch(capsys, monkeypatch):
     assert lines[-1] == "summary: 4 suites, 1 failures"
 
 
+def test_verify_reports_levels_in_sweep_order(capsys, monkeypatch):
+    # levels run 0, 1/2, 1, ...: a sweep that ran the integer levels before
+    # the half levels would report level 1 first
+    from centdim import verify
+
+    real = verify.block_dimension
+
+    def off_by_one(ctx, label):
+        bump = (ctx.group, ctx.module, ctx.n) == ("A", "perm", 3) and ctx.level in (
+            Fraction(1, 2), 1
+        )
+        return real(ctx, label) + bump
+
+    monkeypatch.setattr(verify, "block_dimension", off_by_one)
+    code, out, _ = run(
+        capsys, "verify", "--scope", "oracle", "--n-max", "3", "--k-max", "1"
+    )
+    assert code == 1
+    assert "oracle A perm: FAIL (n=3 level=1/2 label=2: formula 2, oracle 1)" in out
+    assert out.splitlines()[-1] == "summary: 4 suites, 1 failures"
+
+
+def test_oracle_sweep_lists_each_row_of_labels_once(monkeypatch):
+    # one list at integer and one at half levels for each (group, module, n),
+    # and the same again for the check count made before the sweep
+    from centdim import verify
+
+    real = verify.labels_for
+    calls = []
+    monkeypatch.setattr(verify, "labels_for", lambda ctx: calls.append(ctx) or real(ctx))
+    for k_max in (0, 1, 5):
+        calls.clear()
+        verify.run_oracle(4, k_max)
+        assert len(calls) == 2 * 2 * 4 * 3, k_max
+
+
 @pytest.mark.parametrize(
     "tamper, detail",
     [
@@ -570,6 +606,32 @@ def test_wide_label_at_a_low_level_in_a_fresh_process():
     proc = run_process("dim", "--group", "S", "--module", "perm", "--n", "1200",
                        "--k", "2", "--lambda", "1200")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2\n", "")
+
+
+PEAK_PROBE = """
+import sys, tracemalloc
+from centdim.cli import main
+tracemalloc.start()
+code = main(sys.argv[1:])
+sys.stderr.write(f"exit {code}, peak {tracemalloc.get_traced_memory()[1]}\\n")
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "dim --group {} --module perm --n 10000000 --k 1 --lambda 10000000",
+        "decompose --group {} --module perm --n 10000000 --k 2",
+        "bratteli --pair {}:3000000 --module perm --levels 2",
+    ],
+)
+def test_a_request_costs_no_memory_linear_in_n_in_a_fresh_process(argv):
+    # each label's conjugate is an n-long tuple; building them took 92 to 320 MB
+    # and 5 to 27 s on a 2-core machine. The A answers equal the S answers here.
+    runs = {g: run_python("-c", PEAK_PROBE, *argv.format(g).split()) for g in "SA"}
+    assert runs["A"].stdout == runs["S"].stdout != ""
+    code, peak = re.fullmatch(r"exit (\d+), peak (\d+)\n", runs["A"].stderr).groups()
+    assert code == "0" and int(peak) < 4_000_000, peak  # an n-long tuple takes 24 to 80 MB
 
 
 def test_answers_past_the_digit_cap_in_a_fresh_process():

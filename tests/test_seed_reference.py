@@ -676,14 +676,17 @@ def test_alt_label_matches_reference():
     _assert_round_trips(new[:40])
 
 
+CONTEXT_ARGS = [
+    (group, n, module, Fraction(twice, 2))
+    for group in ("S", "A")
+    for module in ("perm", "refl")
+    for n in range(1, 5)
+    for twice in range(7)
+]
+
+
 def test_group_module_context_matches_reference():
-    args = [
-        (group, n, module, Fraction(twice, 2))
-        for group in ("S", "A")
-        for module in ("perm", "refl")
-        for n in range(1, 5)
-        for twice in range(7)
-    ]
+    args = CONTEXT_ARGS
     new = [GroupModuleContext(*a) for a in args]
     old = [ref.SeedGroupModuleContext(*a) for a in args]
     _assert_same_records(
@@ -703,6 +706,33 @@ def test_group_module_context_matches_reference():
     _assert_frozen_like_reference(new[-1], old[-1], ("group", "n", "module", "level"))
     assert GroupModuleContext.__match_args__ == ref.SeedGroupModuleContext.__match_args__
     _assert_round_trips(new)
+
+
+def test_group_module_context_stores_its_level_facts():
+    stored = ("k", "half", "label_size")
+
+    def facts(ctx):
+        return tuple((getattr(ctx, name), type(getattr(ctx, name))) for name in stored)
+
+    new = [GroupModuleContext(*a) for a in CONTEXT_ARGS]
+    old = [ref.SeedGroupModuleContext(*a) for a in CONTEXT_ARGS]
+    assert len(new) == 112
+    assert [facts(c) for c in new] == [facts(c) for c in old]
+    copies = [copy.copy, copy.deepcopy] + [
+        lambda x, p=p: pickle.loads(pickle.dumps(x, protocol=p))
+        for p in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for ctx, seed in zip(new, old):
+        before = facts(ctx)
+        _assert_frozen_like_reference(ctx, seed, stored)
+        assert facts(ctx) == before
+        # forged facts change nothing that compares, hashes or prints
+        twin = copy.copy(ctx)
+        for name in stored:
+            object.__setattr__(twin, name, None)
+        assert twin == ctx and _value_view(twin) == _value_view(ctx)
+        for make_copy in copies:
+            assert facts(make_copy(ctx)) == before
 
 
 def test_grouped_oracle_matches_reference():
@@ -780,3 +810,62 @@ def test_oracle_memo_takes_only_checked_labels_in_a_fresh_process():
         ["not a valid partition"] * 12 + ["an A label must be an AltLabel"] * 12
     )
     assert report == {"warm": cold, "reference": cold, "grown": 0, "new misses": 0}
+
+
+HOOK_MEMO_PROBE = """
+from decimal import Decimal
+from fractions import Fraction
+
+from centdim.young import _num_syt, hook_terms, kostka_hook_type
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+def terms(lam, top):
+    return list(hook_terms(lam, top))
+
+
+shape = (3, 2, 1)
+spoilt = [shape[:i] + (kind(shape[i]),) + shape[i + 1:]
+          for kind in (float, Fraction, Decimal) for i in range(len(shape))]
+calls = [(terms, top) for top in (0, 6)] + [(kostka_hook_type, 6, t) for t in (0, 3, 6)]
+
+
+def outcomes():
+    return [outcome(fn, lam, *rest) for fn, *rest in calls for lam in spoilt]
+
+
+report = {"cold size": _num_syt.cache_info().currsize}
+report["cold"] = outcomes()
+report["cold size after"] = _num_syt.cache_info().currsize
+report["checked"] = [outcome(fn, shape, *rest) for fn, *rest in calls]
+warm = _num_syt.cache_info()
+report["warm"] = outcomes()
+end = _num_syt.cache_info()
+report["warm size"] = warm.currsize
+report["grown"] = end.currsize - warm.currsize
+report["new misses"] = end.misses - warm.misses
+print(repr(report))
+"""
+
+
+def test_hook_terms_memo_takes_only_checked_shapes_in_a_fresh_process():
+    # (3, 2, 1.0) == (3, 2, 1) and both hash alike: hook_terms reads _num_syt
+    # without a check of its own, so only the check of lam keeps such a part out
+    proc = run_fresh(HOOK_MEMO_PROBE)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = ast.literal_eval(proc.stdout)
+    assert report.pop("cold size") == report.pop("cold size after") == 0
+    assert report.pop("checked") == [
+        ("ok", []), ("ok", [(1, 3, 2), (-1, 5, 4)]), ("ok", 0), ("ok", 2), ("ok", 16),
+    ]
+    assert report.pop("warm size") == 2
+    cold = report.pop("cold")
+    assert [kind for kind, _ in cold] == ["ValueError"] * 45
+    assert {text.split(": ")[0] for _, text in cold} == {"not a valid partition"}
+    assert report == {"warm": cold, "grown": 0, "new misses": 0}

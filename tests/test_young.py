@@ -219,6 +219,21 @@ def test_hook_terms_truncate_where_the_binomials_vanish():
                     assert got == skew_count(lam, m, t), (lam, top, t)
 
 
+def test_hook_terms_check_their_shape_once(monkeypatch):
+    from centdim import young
+
+    checked = []
+    real = young.check_partition
+    monkeypatch.setattr(young, "check_partition", lambda lam: checked.append(lam) or real(lam))
+    lam = (5, 4, 3, 2, 1)
+    terms = list(hook_terms(lam, 18))
+    assert len(terms) == 5 and checked == [lam]  # not once more for each term
+    # the shape is checked even when no term is needed
+    for call in (lambda: list(hook_terms((1, 3), 0)), lambda: kostka_hook_type((1, 3), 4, 2)):
+        with pytest.raises(ValueError, match=r"not a valid partition: \(1, 3\)"):
+            call()
+
+
 def test_partitions_of_order_and_counts():
     assert partitions_of(0) == ((),)
     assert partitions_of(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
