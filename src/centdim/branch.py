@@ -17,6 +17,7 @@ its own half of a split one. alt_labels folds the partitions of m.
 
 from .young import (
     check_partition,
+    check_partition_of,
     conjugate,
     format_partition,
     parse_partition,
@@ -42,7 +43,32 @@ def splits_over_alt(lam):
     return lam[:1] == (len(lam),) and lam == conjugate(lam) and sum(lam) >= 2
 
 
-class AltLabel:
+class _Frozen:
+    """An immutable value, equal only to its own class and hashed by _fields().
+
+    Copies and pickles rebuild through __init__ from the __match_args__
+    fields, so they pass the constructor's checks and derive the rest anew.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setstate__(self, state):
+        self.__init__(*(state[name] for name in self.__match_args__))
+
+
+class AltLabel(_Frozen):
     """An irreducible label for an alternating group.
 
     base: canonical partition (lexicographically >= its conjugate).
@@ -69,19 +95,8 @@ class AltLabel:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "sign", sign)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.base, self.sign) == (other.base, other.sign)
-
-    def __hash__(self):
-        return hash((self.base, self.sign))
+    def _fields(self):
+        return (self.base, self.sign)
 
     @property
     def size(self):
@@ -95,6 +110,19 @@ class AltLabel:
 
     def __repr__(self):
         return f"AltLabel({self.base!r}, {self.sign!r})"
+
+
+def check_label(group, label, size):
+    """(base, sign) of a label of group 'S' or 'A' whose irreducible has the
+    given size: an S label is a partition of size, with sign None; an A
+    label is an AltLabel of that size. Anything else raises ValueError."""
+    if group == "S":
+        return check_partition_of(label, size), None
+    if not isinstance(label, AltLabel):
+        raise ValueError(f"an A label must be an AltLabel, got {label!r}")
+    if label.size != size:
+        raise ValueError(f"expected a label of size {size}, got {label}")
+    return label.base, label.sign
 
 
 def format_alt_label(label):
@@ -143,9 +171,7 @@ def restrict_sym(lam):
 def induce_sym(mu, n):
     """Induction of the S_{n-1} irreducible mu to S_n: add one cell. A higher
     cell gives a larger shape, so rows walked top down give display order."""
-    mu = check_partition(mu) if mu else ()
-    if sum(mu) != n - 1:
-        raise ValueError(f"expected a partition of {n - 1}, got {mu}")
+    mu = check_partition_of(mu, n - 1)
     out = []
     for i in range(len(mu) + 1):
         above = mu[i - 1] if i > 0 else None
@@ -190,9 +216,8 @@ def induce_alt(label, n):
     folded (inducing the conjugate gives the conjugate shapes, which fold
     the same). A signed label reaches only its own half of a split shape.
     """
-    if label.size != n - 1:
-        raise ValueError(f"expected a label of size {n - 1}, got {label}")
-    return _fold(induce_sym(label.base, n), label.sign)
+    base, sign = check_label("A", label, n - 1)
+    return _fold(induce_sym(base, n), sign)
 
 
 def alt_labels(m):

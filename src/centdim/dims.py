@@ -23,7 +23,7 @@ from functools import cache
 
 # bell_restricted and kostka_hook_type are unused; the bench tracer binds them.
 from .arith import bell_restricted, binomial, signed_stirling2, stirling2
-from .branch import AltLabel, _fold, alt_labels
+from .branch import _Frozen, _fold, alt_labels, check_label
 from .young import (
     bounded_partitions,
     check_partition,
@@ -166,7 +166,7 @@ def is_half(level):
     return Fraction(level).denominator == 2
 
 
-class GroupModuleContext:
+class GroupModuleContext(_Frozen):
     """Which algebra: group 'S' or 'A' on n letters, module 'perm' or 'refl',
     at an integer or half-integer level.
 
@@ -192,22 +192,8 @@ class GroupModuleContext:
             object.__setattr__(self, name, value)
         check_scale(level, self.label_size)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
     def _fields(self):
         return (self.group, self.n, self.module, self.level)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
 
     def __repr__(self):
         return (
@@ -225,17 +211,8 @@ def _shapes(ctx, label):
     part len(base)) outside the stable range has no terms and is not built.
     """
     m = ctx.label_size
-    if ctx.group == "S":
-        lam = check_partition(label) if label else ()
-        if sum(lam) != m:
-            raise ValueError(f"expected a partition of {m}, got {lam}")
-        return (lam,)
-    if not isinstance(label, AltLabel):
-        raise ValueError(f"an A label must be an AltLabel, got {label!r}")
-    if label.size != m:
-        raise ValueError(f"expected a label of size {m}, got {label}")
-    base = label.base
-    if label.sign is None and len(base) >= m - min(m, ctx.k):
+    base, sign = check_label(ctx.group, label, m)
+    if ctx.group == "A" and sign is None and len(base) >= m - min(m, ctx.k):
         star = conjugate(base)
         if star != base:
             return (base, star)
@@ -335,7 +312,7 @@ def dim_partition_algebra_irr(level, nu):
     at half levels. Requires |nu| <= floor(level).
     """
     level = check_level(level)
-    nu = check_partition(nu) if nu else ()
+    nu = check_partition(nu)
     k = level_floor(level)
     if sum(nu) > k:
         raise ValueError(f"|{nu}| exceeds the level floor {k}")
@@ -349,7 +326,7 @@ def dim_qp_irr(k, nu):
     signed_stirling2(k, t) in place of S2(j, t)."""
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"need an integer level k >= 0, got {k!r}")
-    nu = check_partition(nu) if nu else ()
+    nu = check_partition(nu)
     if sum(nu) > k:
         raise ValueError(f"|{nu}| exceeds the level {k}")
     return _nonnegative(num_syt(nu) * _abacus_sum(signed_stirling2, k, 0, k, sum(nu)))

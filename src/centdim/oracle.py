@@ -1,6 +1,7 @@
 """Independent multiplicity computations used to check the closed formulas.
 
-Two oracles, deliberately sharing nothing with dims:
+Two oracles, deliberately sharing no formula with dims (they share only
+branch.check_label, so both sides accept exactly the same labels):
 
 * multiplicity_oracle counts irreducibles by exact character inner products.
   The module character value on a class is just a fixed-point count (minus
@@ -20,8 +21,8 @@ from functools import cache
 from math import factorial
 
 from .arith import set_partitions
-from .branch import AltLabel
-from .young import check_partition, partitions_of
+from .branch import check_label
+from .young import check_partition_of, partitions_of
 
 
 # conjugacy_classes lists the classes of S_n only up to this n
@@ -129,17 +130,7 @@ def multiplicity_oracle(ctx, label):
     """
     m = ctx.label_size
     k = ctx.k
-    if ctx.group == "S":
-        lam = check_partition(label)
-        if sum(lam) != m:
-            raise ValueError(f"expected a partition of {m}, got {lam}")
-        base, sign = lam, None
-    else:
-        if not isinstance(label, AltLabel):
-            raise ValueError(f"an A label must be an AltLabel, got {label!r}")
-        base, sign = label.base, label.sign
-        if sum(base) != m:
-            raise ValueError(f"expected a label of size {m}, got {label}")
+    base, sign = check_label(ctx.group, label, m)
     order, sums = _fixed_point_sums(base, ctx.group)
     # a class with f fixed points among the m letters has module character f + shift
     shift = ctx.n - m - (1 if ctx.module == "refl" else 0)
@@ -195,9 +186,7 @@ def pair_count_oracle(n, k, lam):
     strictly increase with zeros ranked below every positive entry. This is
     a direct enumeration of the objects behind the level-k block dimension.
     """
-    lam = check_partition(lam)
-    if sum(lam) != n:
-        raise ValueError(f"expected a partition of {n}, got {lam}")
+    lam = check_partition_of(lam, n)
     if k > 8 or n > 6:
         raise ScaleExceeded("pair_count_oracle capped at k <= 8, n <= 6")
     total = 0

@@ -30,6 +30,14 @@ def check_partition(seq, what="partition"):
     return lam
 
 
+def check_partition_of(seq, size):
+    """check_partition, then the size: seq must be a partition of size."""
+    lam = check_partition(seq)
+    if sum(lam) != size:
+        raise ValueError(f"expected a partition of {size}, got {lam}")
+    return lam
+
+
 def parse_partition(text):
     """Inverse of format_partition: "3,1,1" -> (3, 1, 1), "empty" -> ()."""
     text = text.strip()
@@ -106,8 +114,8 @@ def num_skew_syt(outer, inner=()):
     pair (as num_syt is). The corner being removed may not dig into the
     inner shape.
     """
-    outer = check_partition(outer) if outer else ()
-    inner = check_partition(inner) if inner else ()
+    outer = check_partition(outer)
+    inner = check_partition(inner)
     if not contains(outer, inner):
         raise ValueError(f"shape {inner} does not fit inside {outer}")
     return _num_skew_syt(outer, inner)
@@ -158,10 +166,8 @@ def hook_terms(lam, top):
 def kostka_hook_type(lam, n, t):
     """Kostka number of lam against the hook type (n-t, 1^t), f^(lam/(n-t)),
     from hook_terms(lam, t); t = n-1 and t = n both mean (1^n). lam must be
-    a partition of n, and is checked as one even when no term is needed."""
-    lam = tuple(lam)
-    if sum(lam) != n:
-        raise ValueError(f"expected a partition of {n}, got {lam}")
+    a partition of n, checked before t even when no term is needed."""
+    lam = check_partition_of(lam, n)
     if t < 0 or t > n:
         raise ValueError(f"hook parameter t = {t} outside 0..{n}")
     return sum(sign * binomial(t, size) * f for sign, size, f in hook_terms(lam, t))

@@ -1,5 +1,7 @@
+import copy
 import math
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +12,7 @@ from seed_reference import kostka
 
 import centdim
 from centdim.arith import bell, bell_restricted, binomial, singleton_free_bell, stirling2
-from centdim.branch import AltLabel, alt_labels, restrict_alt, restrict_sym
+from centdim.branch import AltLabel, alt_labels, induce_alt, induce_sym, restrict_alt, restrict_sym
 from centdim.dims import (
     MAX_LABELS,
     GroupModuleContext,
@@ -37,6 +39,7 @@ from centdim.dims import (
 from centdim.oracle import multiplicity_oracle
 from centdim.young import (
     conjugate,
+    kostka_hook_type,
     num_skew_syt,
     num_syt,
     partitions_of,
@@ -501,6 +504,89 @@ def test_a_label_of_the_wrong_kind_is_refused():
         for context, label, message in cases:
             with pytest.raises(ValueError) as info:
                 fn(context, label)
+            assert str(info.value) == message
+    # both sides share one label check: falsy labels, float parts and wrong
+    # sizes are refused alike, in S and A, at label size 0 and above
+    contexts = [
+        ctx(group, n, module, level)
+        for group in ("S", "A")
+        for n, module, level in ((1, "perm", Fraction(1, 2)), (4, "refl", 3), (5, "perm", Fraction(5, 2)))
+    ]
+    seen = {}
+    for context in contexts:
+        m = context.label_size
+        for label in (None, 0, False, (3, 1.0), (m + 1,), AltLabel((m + 1,))):
+            messages = []
+            for fn in (block_dimension, multiplicity_oracle):
+                with pytest.raises(ValueError) as info:
+                    fn(context, label)
+                messages.append(str(info.value))
+            assert messages[0] == messages[1], (context, label, messages)
+            seen[context.group, m, repr(label)] = messages[0]
+    assert seen["S", 0, "None"] == "not a valid partition: None"
+    assert seen["S", 0, "False"] == "not a valid partition: False"
+    assert seen["S", 4, "(3, 1.0)"] == "not a valid partition: (3, 1.0)"
+    assert seen["S", 0, "(1,)"] == "expected a partition of 0, got (1,)"
+    assert seen["A", 0, "0"] == "an A label must be an AltLabel, got 0"
+    assert seen["A", 4, "AltLabel((5,), None)"] == "expected a label of size 4, got 5"
+
+
+def test_entry_points_refuse_a_missing_shape():
+    # no entry point reads a falsy shape as the empty partition
+    calls = [
+        (lambda: induce_sym(None, 1), "not a valid partition: None"),
+        (lambda: num_skew_syt(None), "not a valid partition: None"),
+        (lambda: num_skew_syt((2,), None), "not a valid partition: None"),
+        (lambda: dim_partition_algebra_irr(2, None), "not a valid partition: None"),
+        (lambda: dim_qp_irr(2, None), "not a valid partition: None"),
+        (lambda: dim_z_half(1, 0, None), "not a valid partition: None"),
+        (lambda: kostka_hook_type(None, 0, 0), "not a valid partition: None"),
+        (lambda: induce_alt((3,), 4), "an A label must be an AltLabel, got (3,)"),
+    ]
+    for call, message in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+    # the shape is checked before its size and before t
+    for call in (lambda: kostka_hook_type((3, 1.0), 5, 9), lambda: induce_sym((3, 1.0), 9)):
+        with pytest.raises(ValueError, match=r"not a valid partition: \(3, 1\.0\)"):
+            call()
+
+
+def _forged(cls, **fields):
+    """An instance of cls holding the given fields, made without __init__."""
+    x = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(x, name, value)
+    return x
+
+
+COPIES = [copy.copy, copy.deepcopy] + [
+    lambda x, p=p: pickle.loads(pickle.dumps(x, protocol=p))
+    for p in range(pickle.HIGHEST_PROTOCOL + 1)
+]
+
+
+def test_copies_and_pickles_rebuild_through_the_constructor():
+    # a context stored with only its four fields derives k, half and label_size
+    fresh = ctx("A", 5, "refl", Fraction(7, 2))
+    four = _forged(GroupModuleContext, group="A", n=5, module="refl", level=Fraction(7, 2))
+    for make_copy in COPIES:
+        loaded = make_copy(four)
+        assert (loaded.k, loaded.half, loaded.label_size) == (3, True, 4)
+        assert loaded == fresh
+        assert block_dimension(loaded, AltLabel((3, 1))) == block_dimension(fresh, AltLabel((3, 1)))
+    # values the constructors refuse are refused on load with the same message
+    forged = [
+        (_forged(GroupModuleContext, group="S", n=-5, module="perm", level=Fraction(1)),
+         "n must be a positive integer, got -5"),
+        (_forged(AltLabel, base=(1, 1, 1), sign=None),
+         "label base (1, 1, 1) is not canonical; use (3,)"),
+    ]
+    for value, message in forged:
+        for make_copy in COPIES:
+            with pytest.raises(ValueError) as info:
+                make_copy(value)
             assert str(info.value) == message
 
 
