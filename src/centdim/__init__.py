@@ -13,18 +13,14 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "arith": (
-        "bell",
         "bell_restricted",
         "binomial",
         "odd_double_factorial",
-        "set_partitions",
-        "singleton_free_bell",
         "stirling2",
     ),
     "young": (
         "conjugate",
         "format_partition",
-        "hook_length",
         "involutions_with_fixed_points",
         "kostka_hook_type",
         "num_skew_syt",
@@ -61,13 +57,7 @@ _EXPORTS = {
     ),
     "bratteli": ("BratteliDiagram", "build_diagram", "enumerate_paths", "export"),
     "bijection": ("pair_to_path", "path_to_pair", "row_insert", "row_uninsert"),
-    "oracle": (
-        "ScaleExceeded",
-        "character_mn",
-        "conjugacy_classes",
-        "multiplicity_oracle",
-        "pair_count_oracle",
-    ),
+    "oracle": ("character_mn", "conjugacy_classes", "multiplicity_oracle"),
 }
 
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

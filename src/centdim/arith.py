@@ -1,4 +1,5 @@
-"""Exact integer combinatorics: binomials, Stirling numbers, Bell numbers.
+"""Exact integer combinatorics: binomials, Stirling numbers, restricted Bell
+numbers, odd double factorials.
 
 Everything returns plain Python ints, so all arithmetic is arbitrary
 precision by construction. Out-of-range indices give 0 rather than raising,
@@ -87,11 +88,6 @@ def signed_stirling2(k, t):
     return _staircase(_SIGNED_TABLE, -1, k, t)
 
 
-def bell(k):
-    """Bell number B(k): all set partitions of a k-set."""
-    return sum(stirling2(k, t) for t in range(k + 1))
-
-
 def bell_restricted(k, n):
     """B(k, n): set partitions of a k-set into at most n blocks."""
     return sum(stirling2(k, t) for t in range(min(k, n) + 1))
@@ -110,39 +106,3 @@ def odd_double_factorial(m):
     for j in range(1, m + 1, 2):
         result *= j
     return result
-
-
-def set_partitions(n):
-    """Yield all set partitions of {1, ..., n} as tuples of tuples.
-
-    Blocks are ordered by their minimum and sorted internally, so each
-    partition comes out in canonical form exactly once. n = 0 yields the
-    empty partition.
-    """
-    blocks = []
-
-    def rec(i):
-        if i > n:
-            yield tuple(tuple(b) for b in blocks)
-            return
-        for b in blocks:
-            b.append(i)
-            yield from rec(i + 1)
-            b.pop()
-        blocks.append([i])
-        yield from rec(i + 1)
-        blocks.pop()
-
-    yield from rec(1)
-
-
-def singleton_free_bell(m):
-    """Set partitions of an m-set with every block of size at least 2.
-
-    Inclusion-exclusion over the singletons, sum_j (-1)^j C(m, j) B(m - j),
-    which is O(m^2) through the Stirling triangle. The test suite checks it
-    against direct enumeration.
-    """
-    if m < 0:
-        raise ValueError(f"singleton_free_bell: need m >= 0, got {m}")
-    return sum((-1) ** j * binomial(m, j) * bell(m - j) for j in range(m + 1))

@@ -1,36 +1,25 @@
-"""Independent multiplicity computations used to check the closed formulas.
+"""The character oracle that verify checks the closed formulas against.
 
-Two oracles, deliberately sharing no formula with dims (they share only
-branch.check_label, so both sides accept exactly the same labels):
-
-* multiplicity_oracle counts irreducibles by exact character inner products.
-  The module character value on a class is just a fixed-point count (minus
-  one for the reflection module), raised to the tensor exponent, so the
-  whole inner product stays in integer arithmetic. It depends on the class
-  only through its fixed points f, so the class sum is grouped once per
-  label into sums a_f of |C| chi(C), and each level is one dot product of
-  the a_f with the powers of the module values.
-
-* pair_count_oracle counts set-partition / tableau pairs directly, which is
-  the combinatorial object the permutation-module dimensions enumerate.
-
-Both are brute force on purpose and are capped at desk scale.
+multiplicity_oracle counts irreducibles by exact character inner products,
+deliberately sharing no formula with dims (it shares only
+branch.check_label, so both sides accept exactly the same labels). The
+module character value on a class is just a fixed-point count (minus one
+for the reflection module), raised to the tensor exponent, so the whole
+inner product stays in integer arithmetic. It depends on the class only
+through its fixed points f, so the class sum is grouped once per label into
+sums a_f of |C| chi(C), and each level is one dot product of the a_f with
+the powers of the module values. The class tables are capped at desk scale.
 """
 
 from functools import cache
 from math import factorial
 
-from .arith import set_partitions
 from .branch import check_label
-from .young import check_partition_of, partitions_of
+from .young import partitions_of
 
 
 # conjugacy_classes lists the classes of S_n only up to this n
 MAX_N = 10
-
-
-class ScaleExceeded(ValueError):
-    """Raised when an oracle is asked for more than it is sized to do."""
 
 
 def _class_size(n, ct):
@@ -145,55 +134,3 @@ def multiplicity_oracle(ctx, label):
             raise RuntimeError(f"split label {label} got odd paired sum {mult}")
         mult //= 2
     return mult
-
-
-def _fillings(shape, values):
-    """Count semistandard fillings of shape using exactly the given values
-    (weakly increasing rows, strictly increasing columns), cell by cell."""
-    rows = len(shape)
-    grid = [[None] * shape[i] for i in range(rows)]
-    cells = [(i, j) for i in range(rows) for j in range(shape[i])]
-    remaining = sorted(values)
-
-    def rec(idx, pool):
-        if idx == len(cells):
-            return 1
-        i, j = cells[idx]
-        count = 0
-        last = None
-        for choice in range(len(pool)):
-            v = pool[choice]
-            if v == last:
-                continue
-            last = v
-            if j > 0 and grid[i][j - 1] > v:
-                continue
-            if i > 0 and grid[i - 1][j] >= v:
-                continue
-            grid[i][j] = v
-            count += rec(idx + 1, pool[:choice] + pool[choice + 1 :])
-            grid[i][j] = None
-        return count
-
-    return rec(0, remaining)
-
-
-def pair_count_oracle(n, k, lam):
-    """Count (set partition of {1..k}, filled tableau) pairs of shape lam.
-
-    The tableau uses n - t zeros and the t block maxima, each exactly once,
-    where t is the number of blocks; rows weakly increase and columns
-    strictly increase with zeros ranked below every positive entry. This is
-    a direct enumeration of the objects behind the level-k block dimension.
-    """
-    lam = check_partition_of(lam, n)
-    if k > 8 or n > 6:
-        raise ScaleExceeded("pair_count_oracle capped at k <= 8, n <= 6")
-    total = 0
-    for blocks in set_partitions(k):
-        t = len(blocks)
-        if t > n:
-            continue
-        values = [0] * (n - t) + [max(b) for b in blocks]
-        total += _fillings(lam, values)
-    return total

@@ -67,16 +67,6 @@ def conjugate(lam):
     return tuple(sum(1 for p in lam if p >= c) for c in range(1, lam[0] + 1))
 
 
-def hook_length(lam, row, col):
-    """Hook length at 1-based (row, col); raises if outside the diagram."""
-    lam = tuple(lam)
-    if not (1 <= row <= len(lam)) or not (1 <= col <= lam[row - 1]):
-        raise ValueError(f"cell ({row},{col}) outside shape {lam}")
-    arm = lam[row - 1] - col
-    leg = sum(1 for i in range(row, len(lam)) if lam[i] >= col)
-    return arm + leg + 1
-
-
 def num_syt(lam):
     """Number of standard Young tableaux of shape lam, by the hook formula.
 

@@ -38,12 +38,18 @@
 * multiplicity_oracle as it was, with _module_value and _group_order,
   summing over every class again at every level. The package groups the
   classes by fixed-point count once per label.
+* bell, set_partitions and singleton_free_bell as they were in
+  centdim.arith, hook_length as it was in centdim.young, and
+  pair_count_oracle with _fillings and ScaleExceeded as they were in
+  centdim.oracle. Nothing in the package called them, so it no longer
+  carries them; the tests use them as independent references. Here bell
+  and singleton_free_bell sum the frozen stirling2 above.
 
 These copies keep the earlier code exactly as it was, so the tests can
 demand byte-identical rows, edges, exports, pairs, walks, dimensions and
 error messages from the rewrites. Only code that the rewrites left alone
 (binomials, the other branching rules, the shape predicates, the class
-tables and character values) and the hook
+tables and character values, the partition-size check) and the hook
 Kostka numbers, which tests/test_young.py pins against num_skew_syt, are
 imported from the package. Do not edit.
 """
@@ -73,6 +79,7 @@ from centdim.dims import GROUPS, MODULES, check_level, format_level, is_half, le
 from centdim.oracle import character_mn, conjugacy_classes
 from centdim.young import (
     check_partition,
+    check_partition_of,
     conjugate,
     is_partition,
     kostka_hook_type,
@@ -846,3 +853,110 @@ def multiplicity_oracle(ctx, label):
             raise RuntimeError(f"split label {label} got odd paired sum {mult}")
         mult //= 2
     return mult
+
+
+def bell(k):
+    """Bell number B(k): all set partitions of a k-set."""
+    return sum(stirling2(k, t) for t in range(k + 1))
+
+
+def set_partitions(n):
+    """Yield all set partitions of {1, ..., n} as tuples of tuples.
+
+    Blocks are ordered by their minimum and sorted internally, so each
+    partition comes out in canonical form exactly once. n = 0 yields the
+    empty partition.
+    """
+    blocks = []
+
+    def rec(i):
+        if i > n:
+            yield tuple(tuple(b) for b in blocks)
+            return
+        for b in blocks:
+            b.append(i)
+            yield from rec(i + 1)
+            b.pop()
+        blocks.append([i])
+        yield from rec(i + 1)
+        blocks.pop()
+
+    yield from rec(1)
+
+
+def singleton_free_bell(m):
+    """Set partitions of an m-set with every block of size at least 2.
+
+    Inclusion-exclusion over the singletons, sum_j (-1)^j C(m, j) B(m - j),
+    which is O(m^2) through the Stirling triangle. The test suite checks it
+    against direct enumeration.
+    """
+    if m < 0:
+        raise ValueError(f"singleton_free_bell: need m >= 0, got {m}")
+    return sum((-1) ** j * binomial(m, j) * bell(m - j) for j in range(m + 1))
+
+
+def hook_length(lam, row, col):
+    """Hook length at 1-based (row, col); raises if outside the diagram."""
+    lam = tuple(lam)
+    if not (1 <= row <= len(lam)) or not (1 <= col <= lam[row - 1]):
+        raise ValueError(f"cell ({row},{col}) outside shape {lam}")
+    arm = lam[row - 1] - col
+    leg = sum(1 for i in range(row, len(lam)) if lam[i] >= col)
+    return arm + leg + 1
+
+
+class ScaleExceeded(ValueError):
+    """Raised when an oracle is asked for more than it is sized to do."""
+
+
+def _fillings(shape, values):
+    """Count semistandard fillings of shape using exactly the given values
+    (weakly increasing rows, strictly increasing columns), cell by cell."""
+    rows = len(shape)
+    grid = [[None] * shape[i] for i in range(rows)]
+    cells = [(i, j) for i in range(rows) for j in range(shape[i])]
+    remaining = sorted(values)
+
+    def rec(idx, pool):
+        if idx == len(cells):
+            return 1
+        i, j = cells[idx]
+        count = 0
+        last = None
+        for choice in range(len(pool)):
+            v = pool[choice]
+            if v == last:
+                continue
+            last = v
+            if j > 0 and grid[i][j - 1] > v:
+                continue
+            if i > 0 and grid[i - 1][j] >= v:
+                continue
+            grid[i][j] = v
+            count += rec(idx + 1, pool[:choice] + pool[choice + 1 :])
+            grid[i][j] = None
+        return count
+
+    return rec(0, remaining)
+
+
+def pair_count_oracle(n, k, lam):
+    """Count (set partition of {1..k}, filled tableau) pairs of shape lam.
+
+    The tableau uses n - t zeros and the t block maxima, each exactly once,
+    where t is the number of blocks; rows weakly increase and columns
+    strictly increase with zeros ranked below every positive entry. This is
+    a direct enumeration of the objects behind the level-k block dimension.
+    """
+    lam = check_partition_of(lam, n)
+    if k > 8 or n > 6:
+        raise ScaleExceeded("pair_count_oracle capped at k <= 8, n <= 6")
+    total = 0
+    for blocks in set_partitions(k):
+        t = len(blocks)
+        if t > n:
+            continue
+        values = [0] * (n - t) + [max(b) for b in blocks]
+        total += _fillings(lam, values)
+    return total

@@ -1,23 +1,24 @@
 """Acceptance suite: one test per shipped criterion, timed where promised.
 
 Each test is self-contained against the frozen tables in golden.py, the
-general Kostka count frozen in seed_reference.py and the package's public
-API; pytest -v shows one pass/fail line per criterion.
+general Kostka count, the Bell numbers and the brute-force pair count
+frozen in seed_reference.py and the package's public API; pytest -v shows
+one pass/fail line per criterion.
 """
 
 import time
 from fractions import Fraction
 
 import golden
-from seed_reference import kostka
-
-from centdim.arith import (
+from seed_reference import (
     bell,
-    binomial,
+    kostka,
+    pair_count_oracle,
     set_partitions,
     singleton_free_bell,
-    stirling2,
 )
+
+from centdim.arith import binomial, stirling2
 from centdim.branch import alt_labels, restrict_alt, restrict_sym
 from centdim.bratteli import build_diagram, enumerate_paths, format_label
 from centdim.bijection import pair_to_path, path_to_pair
@@ -36,7 +37,7 @@ from centdim.dims import (
     dim_z_alt_half,
     dim_z_half,
 )
-from centdim.oracle import multiplicity_oracle, pair_count_oracle
+from centdim.oracle import multiplicity_oracle
 from centdim.young import (
     conjugate,
     num_skew_syt,

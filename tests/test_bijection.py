@@ -3,8 +3,9 @@ from fractions import Fraction
 import golden
 import pytest
 from hypothesis import given, strategies as st
+from seed_reference import set_partitions
 
-from centdim.arith import set_partitions, stirling2
+from centdim.arith import stirling2
 from centdim.bijection import (
     is_semistandard,
     pair_to_path,

@@ -8,10 +8,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from seed_reference import kostka
+from seed_reference import bell, kostka, singleton_free_bell
 
 import centdim
-from centdim.arith import bell, bell_restricted, binomial, singleton_free_bell, stirling2
+from centdim.arith import bell_restricted, binomial, stirling2
 from centdim.branch import AltLabel, alt_labels, induce_alt, induce_sym, restrict_alt, restrict_sym
 from centdim.dims import (
     MAX_LABELS,

@@ -5,17 +5,12 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from seed_reference import ScaleExceeded, pair_count_oracle
 
 from centdim import oracle
 from centdim.branch import AltLabel, alt_labels
 from centdim.dims import GroupModuleContext, block_dimension, labels_for
-from centdim.oracle import (
-    ScaleExceeded,
-    character_mn,
-    conjugacy_classes,
-    multiplicity_oracle,
-    pair_count_oracle,
-)
+from centdim.oracle import character_mn, conjugacy_classes, multiplicity_oracle
 from centdim.young import num_syt, partitions_of
 
 

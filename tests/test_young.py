@@ -4,12 +4,11 @@ from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
-from seed_reference import Dominance, dominance_compare, kostka
+from seed_reference import Dominance, dominance_compare, hook_length, kostka
 
 from centdim.young import (
     conjugate,
     format_partition,
-    hook_length,
     hook_terms,
     involutions_with_fixed_points,
     kostka_hook_type,
