@@ -195,8 +195,15 @@ def _cmd_verify(args):
     return 1 if failures else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, but a parse error is one stderr line and exit code 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {' '.join(message.splitlines())}\n")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="centdim",
         description="Exact centralizer-algebra dimensions for tensor powers "
         "of the permutation and reflection modules of S_n and A_n.",

@@ -8,10 +8,10 @@ stable-range sum, _abacus_sum; the block kernel, block_dimension, weighs it
 by Aitken's terms of hook Kostka numbers, and A_n folds each label with its
 conjugate. The reflection module R needs no second algorithm: M = trivial +
 R makes R^k the alternating binomial transform of M^j over j <= k, and the
-weights carry that transform (see _weight). The eight dim_* families are
-that kernel at a fixed (group, module, half). decompose scores only the
-stable range, the labels whose first part is at least m - k, and refuses
-more than MAX_LABELS of them before building any.
+weights carry that transform (see _weight). Every dim_* function is that
+kernel, the stable large-n ones at label size 2k + 1. decompose scores
+only the stable range, the labels whose first part is at least m - k, and
+refuses more than MAX_LABELS of them before building any.
 
 Levels are fractions.Fraction values with denominator 1 or 2.
 """
@@ -30,7 +30,6 @@ from .young import (
     conjugate,
     hook_terms,
     involutions_with_fixed_points,
-    num_syt,
     kostka_hook_type,
     partitions_of,
 )
@@ -160,10 +159,6 @@ def format_level(level):
 
 def level_floor(level):
     return int(math.floor(level))
-
-
-def is_half(level):
-    return Fraction(level).denominator == 2
 
 
 class GroupModuleContext(_Frozen):
@@ -303,6 +298,12 @@ def _abacus_sum(weight, k, s, top, j):
     return sum(binomial(t, j) * weight(k + s, t + s) for t in range(j, top + 1))
 
 
+def _stable_block(level, module, nu):
+    """S's block at (m - |nu|, nu), m = 2k + 1: P_k(n) = Z_k(n) once n >= 2k."""
+    ctx = GroupModuleContext("S", int(2 * level) + 1, module, level)
+    return block_dimension(ctx, (ctx.label_size - sum(nu), *nu))
+
+
 def dim_partition_algebra_irr(level, nu):
     """Dimension of the partition-algebra irreducible labeled nu at the
     given (possibly half-integer) level.
@@ -316,25 +317,23 @@ def dim_partition_algebra_irr(level, nu):
     k = level_floor(level)
     if sum(nu) > k:
         raise ValueError(f"|{nu}| exceeds the level floor {k}")
-    return num_syt(nu) * _abacus_sum(stirling2, k, 1 if is_half(level) else 0, k, sum(nu))
+    return _stable_block(level, "perm", nu)
 
 
 def dim_qp_irr(k, nu):
     """Dimension of the quasi partition algebra irreducible at nu, integer
-    levels only: the alternating binomial transform over j <= k of the
-    stable sums f^nu * sum_t C(t, |nu|) * S2(j, t), which is that sum with
-    signed_stirling2(k, t) in place of S2(j, t)."""
+    levels only: the stable large-n limit of dim_qz at lam = (n - |nu|, nu)."""
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"need an integer level k >= 0, got {k!r}")
     nu = check_partition(nu)
     if sum(nu) > k:
         raise ValueError(f"|{nu}| exceeds the level {k}")
-    return _nonnegative(num_syt(nu) * _abacus_sum(signed_stirling2, k, 0, k, sum(nu)))
+    return _stable_block(k, "refl", nu)
 
 
 def dim_model_block(k, r, p):
     """Multiplicity-side block dimension of the partition algebra model:
-    involutions with p fixed points among r points, against the stable sums.
+    involutions with p fixed points among r points, times the stable block at (r).
 
     Integer levels only; requires 0 <= p <= r <= k and r - p even.
     """
@@ -344,7 +343,7 @@ def dim_model_block(k, r, p):
         raise ValueError(f"need 0 <= p <= r <= k, got p={p}, r={r}, k={k}")
     if (r - p) % 2:
         raise ValueError(f"r - p must be even, got r={r}, p={p}")
-    return involutions_with_fixed_points(r, p) * _abacus_sum(stirling2, k, 0, k, r)
+    return involutions_with_fixed_points(r, p) * _stable_block(k, "perm", (r,) if r else ())
 
 
 def labels_for(ctx):

@@ -15,7 +15,7 @@ from functools import cache
 from math import factorial
 
 from .branch import check_label
-from .young import partitions_of
+from .young import check_partition, partitions_of
 
 
 # conjugacy_classes lists the classes of S_n only up to this n
@@ -42,7 +42,7 @@ def conjugacy_classes(n, even_only=False):
     in S_n; splitting of A_n classes never matters here because the
     characters being integrated are restrictions from S_n.
     """
-    if not 1 <= n <= MAX_N:
+    if not isinstance(n, int) or not 1 <= n <= MAX_N:
         raise ValueError(f"conjugacy_classes: need 1 <= n <= {MAX_N}, got {n}")
     out = []
     for ct in partitions_of(n):
@@ -64,17 +64,20 @@ def _beta_to_partition(beta):
     return tuple(p for p in parts if p > 0)
 
 
-@cache
 def character_mn(lam, ct):
     """Irreducible S_n character value chi_lam on cycle type ct.
 
     Murnaghan-Nakayama over border strips, phrased on the first-column
     hook lengths (beta set): removing a strip of size r moves some beta
     element b down to b - r, legal when b - r is free, with sign given by
-    the number of occupied slots jumped over.
+    the number of occupied slots jumped over. Both partitions are checked
+    before the memo is read, as num_syt does.
     """
-    lam = tuple(lam)
-    ct = tuple(ct)
+    return _character_mn(check_partition(lam), check_partition(ct, "cycle type"))
+
+
+@cache
+def _character_mn(lam, ct):
     if sum(lam) != sum(ct):
         raise ValueError(f"size mismatch: |{lam}| != |{ct}|")
     if not ct:
@@ -89,8 +92,12 @@ def character_mn(lam, ct):
             continue
         jumped = sum(1 for c in beta if target < c < b)
         smaller = tuple(target if c == b else c for c in beta)
-        total += (-1) ** jumped * character_mn(_beta_to_partition(smaller), rest)
+        total += (-1) ** jumped * _character_mn(_beta_to_partition(smaller), rest)
     return total
+
+
+# perfbench/tracing.py reads character_mn.cache_info().
+character_mn.cache_info = _character_mn.cache_info
 
 
 @cache
@@ -103,7 +110,7 @@ def _fixed_point_sums(base, group):
     sums = {}
     for ct, size in conjugacy_classes(m, group == "A") if m else [((), 1)]:
         f = ct.count(1)
-        sums[f] = sums.get(f, 0) + size * character_mn(base, ct)
+        sums[f] = sums.get(f, 0) + size * _character_mn(base, ct)
         order += size
     return order, tuple(sums.items())
 

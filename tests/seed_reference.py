@@ -44,6 +44,8 @@
   centdim.oracle. Nothing in the package called them, so it no longer
   carries them; the tests use them as independent references. Here bell
   and singleton_free_bell sum the frozen stirling2 above.
+* is_half as it was in centdim.dims. The package's stable large-n
+  dimensions are now kernel calls, and nothing there reads it.
 
 These copies keep the earlier code exactly as it was, so the tests can
 demand byte-identical rows, edges, exports, pairs, walks, dimensions and
@@ -75,7 +77,7 @@ from centdim.branch import (
     restrict_sym_to_alt,
     splits_over_alt,
 )
-from centdim.dims import GROUPS, MODULES, check_level, format_level, is_half, level_floor
+from centdim.dims import GROUPS, MODULES, check_level, format_level, level_floor
 from centdim.oracle import character_mn, conjugacy_classes
 from centdim.young import (
     check_partition,
@@ -960,3 +962,7 @@ def pair_count_oracle(n, k, lam):
         values = [0] * (n - t) + [max(b) for b in blocks]
         total += _fillings(lam, values)
     return total
+
+
+def is_half(level):
+    return Fraction(level).denominator == 2

@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import centdim
 from centdim import cli
@@ -896,7 +896,7 @@ def bijection_argv(draw):
 
 
 @st.composite
-def fuzz_argv(draw):
+def command_argv(draw):
     """Argv for every subcommand: mostly valid, and otherwise off in one or
     more values (an unreadable or oversized level, a label of the wrong size
     or sign, a bad pair, a spoilt walk or pair, text that is not a value at
@@ -934,6 +934,34 @@ def fuzz_argv(draw):
     return argv + ["--lambda", label]
 
 
+# Flags argparse lets go missing; a missing --input reads stdin.
+OPTIONAL_FLAGS = ("--format", "--input", "--scope", "--n-max", "--k-max")
+
+
+@st.composite
+def fuzz_argv(draw):
+    """command_argv, or one of its argvs that argparse itself refuses: a
+    required flag dropped, a flag's value replaced by text that starts with
+    "-" or by one no int or choice reads, an unknown flag or subcommand, or
+    no subcommand at all."""
+    argv = draw(command_argv())
+    how = draw(st.sampled_from(["keep"] * 9 + ["drop", "dash", "junk", "unknown", "none"]))
+    spots = range(1, len(argv), 2)  # every flag; its value follows it
+    required = [i for i in spots if argv[i] not in OPTIONAL_FLAGS]
+    if how == "drop" and required:
+        i = draw(st.sampled_from(required))
+        return argv[:i] + argv[i + 2 :]
+    if how in ("dash", "junk"):
+        i = draw(st.sampled_from(spots))
+        values = ["-inf", "-x", "-1e3", "-1/2"] if how == "dash" else ["x", "Q", ""]
+        return argv[: i + 1] + [draw(st.sampled_from(values))] + argv[i + 2 :]
+    if how == "unknown":
+        return draw(st.sampled_from([argv + ["--bogus"], ["bogus"] + argv[1:]]))
+    if how == "none":
+        return argv[1:]
+    return argv
+
+
 def run_quietly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -943,6 +971,12 @@ def run_quietly(argv):
 
 @settings(max_examples=250, deadline=None)
 @given(fuzz_argv())
+@example(["dim", "--group", "S", "--module", "perm", "--n", "x", "--k", "1", "--lambda", "4"])
+@example(["dim", "--group", "Q", "--module", "perm", "--n", "4", "--k", "1", "--lambda", "4"])
+@example(["dim", "--group", "S", "--module", "perm", "--n", "4", "--lambda", "4"])
+@example(["dim", "--group", "S", "--module", "perm", "--n", "4", "--k", "-inf", "--lambda", "4"])
+@example([])
+@example(["verify", "a\nb"])  # argparse echoes an unrecognized argument as given
 def test_every_argv_lands_on_a_documented_exit(argv):
     code, out, err = run_quietly(argv)
     assert code in (0, 2, 3), (argv, err)

@@ -4,6 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -373,6 +374,59 @@ def test_partition_algebra_irr_values():
             assert dim_partition_algebra_irr(Fraction(k), nu) == num_syt(nu)
     with pytest.raises(ValueError):
         dim_partition_algebra_irr(Fraction(2), (2, 1))
+
+
+def test_stable_dimensions_refuse_the_scale_caps_before_any_table():
+    # the stable large-n values are blocks at label size 2k + 1, so a level
+    # k reads k * k Stirling cells: k = 707 is the last under the cap
+    calls = (
+        lambda k: dim_partition_algebra_irr(k, ()),
+        lambda k: dim_partition_algebra_irr(Fraction(2 * k + 1, 2), (1,)),
+        lambda k: dim_qp_irr(k, (2,)),
+        lambda k: dim_model_block(k, 2, 0),
+    )
+    refusals = [
+        (708, "level 708 with labels of size 1417 needs 501264 Stirling numbers, "
+              "above the cap of 500000"),
+        (1500, "level 1500 with labels of size 3001 needs 2250000 Stirling numbers, "
+               "above the cap of 500000"),
+        (10_001, "level must be at most 10000"),
+    ]
+    tracemalloc.start()
+    try:
+        for k, message in refusals:
+            for call in calls:
+                with pytest.raises(ValueError) as info:
+                    call(k)
+                assert str(info.value) == message, k
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one row of a level-1500 table would hold 1500 integers of 28 bytes or more
+    assert peak < 28 * 1500, peak
+    # the argument checks still come first
+    with pytest.raises(ValueError, match=r"^\|\(2, 1\)\| exceeds the level floor 2$"):
+        dim_partition_algebra_irr(Fraction(5, 2), (2, 1))
+    with pytest.raises(ValueError, match="^not a valid partition: None$"):
+        dim_qp_irr(1500, None)
+    with pytest.raises(ValueError, match="^r - p must be even, got r=2, p=1$"):
+        dim_model_block(10_001, 2, 1)
+
+
+def test_stable_dimensions_answer_up_to_the_cap_in_a_fresh_process():
+    src = Path(centdim.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "from centdim.dims import dim_model_block, dim_partition_algebra_irr, dim_qp_irr\n"
+         "from centdim.arith import bell_restricted\n"
+         "assert dim_model_block(707, 0, 0) == bell_restricted(707, 707)\n"
+         "print(dim_qp_irr(707, ()) > 0, dim_partition_algebra_irr(707, (707,)))\n"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True 1\n", "")
 
 
 def test_lam2small_closed_form():

@@ -86,6 +86,34 @@ def test_character_basics():
         character_mn((2, 1), (2, 2))
 
 
+def test_character_inputs_are_checked_before_the_memo():
+    # (1, 2) is no partition, and (3, 1.0) hashes like (3, 1), whose value
+    # the memo would otherwise hand back
+    assert character_mn((3, 1), (4,)) == -1
+    bad = [
+        (((1, 2), (3,)), "not a valid partition: (1, 2)"),
+        (((2, -1, 2), (3,)), "not a valid partition: (2, -1, 2)"),
+        ((None, ()), "not a valid partition: None"),
+        (((3, 1.0), (4,)), "not a valid partition: (3, 1.0)"),
+        (((3,), (1, 2)), "not a valid cycle type: (1, 2)"),
+        (((4,), (3, 1.0)), "not a valid cycle type: (3, 1.0)"),
+        (((2,), None), "not a valid cycle type: None"),
+    ]
+    misses = character_mn.cache_info().misses
+    for args, message in bad:
+        with pytest.raises(ValueError) as info:
+            character_mn(*args)
+        assert str(info.value) == message, args
+    assert character_mn.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, "3", None, Fraction(3)])
+def test_conjugacy_classes_refuse_a_non_integer_n(n):
+    with pytest.raises(ValueError) as info:
+        conjugacy_classes(n)
+    assert str(info.value) == f"conjugacy_classes: need 1 <= n <= 10, got {n}"
+
+
 def test_character_small_table():
     # the full character table of S_4, rows by shape, columns by class
     table = {
