@@ -281,10 +281,17 @@ def dim_z_algebra(ctx):
     values over exponents j <= 2k (M = trivial + R). For A two more
     weights, at t = m - 1 and t = m, appear, except when the acting group
     has at most one letter (A_0 and A_1 coincide with S_0 and S_1, so the S
-    value stands).
+    value stands). The table at level 2k holds about 2k * min(2k, m) cells,
+    refused above MAX_STIRLING_CELLS before any is read.
     """
     weight, s = _weight(ctx)
     k, m = 2 * ctx.k, ctx.label_size
+    cells = k * min(k, m)
+    if cells > MAX_STIRLING_CELLS:
+        raise ValueError(
+            f"the algebra of {ctx.group}:{ctx.n} {ctx.module} at level {ctx.level} needs "
+            f"{cells} Stirling numbers, above the cap of {MAX_STIRLING_CELLS}"
+        )
     value = _abacus_sum(weight, k, s, min(k, m), 0)
     if ctx.group == "A" and m >= 2:
         value += weight(k + s, m + s - 1) + weight(k + s, m + s)
@@ -339,6 +346,8 @@ def dim_model_block(k, r, p):
     """
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"need an integer level k >= 0, got {k!r}")
+    if not (isinstance(r, int) and isinstance(p, int)):
+        raise ValueError(f"need integers r and p, got r={r!r}, p={p!r}")
     if not 0 <= p <= r <= k:
         raise ValueError(f"need 0 <= p <= r <= k, got p={p}, r={r}, k={k}")
     if (r - p) % 2:

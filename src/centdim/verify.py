@@ -21,184 +21,76 @@ from .oracle import MAX_N, multiplicity_oracle
 # such as --n-max 2 --k-max 4999, runs in 0.7 to 1.3 s on a 2-core machine.
 MAX_ORACLE_CHECKS = 50_000
 
-# Every subscript of the six reference towers, keyed by (group, n, module).
-# Rows are (label, count) in display order, keyed by level; the last key is
-# the level a tower is built to.
-GOLDEN = {
-    ("S", 4, "perm"): {
-        "0": [("4", 1)],
-        "1/2": [("3", 1)],
-        "1": [("4", 1), ("3,1", 1)],
-        "3/2": [("3", 2), ("2,1", 1)],
-        "2": [("4", 2), ("3,1", 3), ("2,2", 1), ("2,1,1", 1)],
-        "5/2": [("3", 5), ("2,1", 5), ("1,1,1", 1)],
-        "3": [("4", 5), ("3,1", 10), ("2,2", 5), ("2,1,1", 6), ("1,1,1,1", 1)],
-        "7/2": [("3", 15), ("2,1", 21), ("1,1,1", 7)],
-        "4": [("4", 15), ("3,1", 36), ("2,2", 21), ("2,1,1", 28), ("1,1,1,1", 7)],
-    },
-    ("A", 4, "perm"): {
-        "0": [("4", 1)],
-        "1/2": [("3", 1)],
-        "1": [("4", 1), ("3,1", 1)],
-        "3/2": [("3", 2), ("2,1+", 1), ("2,1-", 1)],
-        "2": [("4", 2), ("3,1", 4), ("2,2+", 1), ("2,2-", 1)],
-        "5/2": [("3", 6), ("2,1+", 5), ("2,1-", 5)],
-        "3": [("4", 6), ("3,1", 16), ("2,2+", 5), ("2,2-", 5)],
-        "7/2": [("3", 22), ("2,1+", 21), ("2,1-", 21)],
-    },
-    ("S", 6, "perm"): {
-        "0": [("6", 1)],
-        "1/2": [("5", 1)],
-        "1": [("6", 1), ("5,1", 1)],
-        "3/2": [("5", 2), ("4,1", 1)],
-        "2": [("6", 2), ("5,1", 3), ("4,2", 1), ("4,1,1", 1)],
-        "5/2": [("5", 5), ("4,1", 5), ("3,2", 1), ("3,1,1", 1)],
-        "3": [
-            ("6", 5),
-            ("5,1", 10),
-            ("4,2", 6),
-            ("4,1,1", 6),
-            ("3,3", 1),
-            ("3,2,1", 2),
-            ("3,1,1,1", 1),
-        ],
-        "7/2": [
-            ("5", 15),
-            ("4,1", 22),
-            ("3,2", 9),
-            ("3,1,1", 9),
-            ("2,2,1", 2),
-            ("2,1,1,1", 1),
-        ],
-        "4": [
-            ("6", 15),
-            ("5,1", 37),
-            ("4,2", 31),
-            ("4,1,1", 31),
-            ("3,3", 9),
-            ("3,2,1", 20),
-            ("3,1,1,1", 10),
-            ("2,2,2", 2),
-            ("2,2,1,1", 3),
-            ("2,1,1,1,1", 1),
-        ],
-    },
-    ("S", 6, "refl"): {
-        "0": [("6", 1)],
-        "1/2": [("5", 1)],
-        "1": [("6", 0), ("5,1", 1)],
-        "3/2": [("5", 1), ("4,1", 1)],
-        "2": [("6", 1), ("5,1", 1), ("4,2", 1), ("4,1,1", 1)],
-        "5/2": [("5", 2), ("4,1", 3), ("3,2", 1), ("3,1,1", 1)],
-        "3": [
-            ("6", 1),
-            ("5,1", 4),
-            ("4,2", 3),
-            ("4,1,1", 3),
-            ("3,3", 1),
-            ("3,2,1", 2),
-            ("3,1,1,1", 1),
-        ],
-        "7/2": [
-            ("5", 5),
-            ("4,1", 10),
-            ("3,2", 6),
-            ("3,1,1", 6),
-            ("2,2,1", 2),
-            ("2,1,1,1", 1),
-        ],
-        "4": [
-            ("6", 4),
-            ("5,1", 11),
-            ("4,2", 13),
-            ("4,1,1", 13),
-            ("3,3", 5),
-            ("3,2,1", 12),
-            ("3,1,1,1", 6),
-            ("2,2,2", 2),
-            ("2,2,1,1", 3),
-            ("2,1,1,1,1", 1),
-        ],
-    },
-    ("A", 6, "perm"): {
-        "0": [("6", 1)],
-        "1/2": [("5", 1)],
-        "1": [("6", 1), ("5,1", 1)],
-        "3/2": [("5", 2), ("4,1", 1)],
-        "2": [("6", 2), ("5,1", 3), ("4,2", 1), ("4,1,1", 1)],
-        "5/2": [
-            ("5", 5),
-            ("4,1", 5),
-            ("3,2", 1),
-            ("3,1,1+", 1),
-            ("3,1,1-", 1),
-        ],
-        "3": [
-            ("6", 5),
-            ("5,1", 10),
-            ("4,2", 6),
-            ("4,1,1", 7),
-            ("3,3", 1),
-            ("3,2,1+", 2),
-            ("3,2,1-", 2),
-        ],
-        "7/2": [
-            ("5", 15),
-            ("4,1", 23),
-            ("3,2", 11),
-            ("3,1,1+", 9),
-            ("3,1,1-", 9),
-        ],
-        "4": [
-            ("6", 15),
-            ("5,1", 38),
-            ("4,2", 34),
-            ("4,1,1", 41),
-            ("3,3", 11),
-            ("3,2,1+", 20),
-            ("3,2,1-", 20),
-        ],
-    },
-    ("A", 6, "refl"): {
-        "0": [("6", 1)],
-        "1/2": [("5", 1)],
-        "1": [("6", 0), ("5,1", 1)],
-        "3/2": [("5", 1), ("4,1", 1)],
-        "2": [("6", 1), ("5,1", 1), ("4,2", 1), ("4,1,1", 1)],
-        "5/2": [
-            ("5", 2),
-            ("4,1", 3),
-            ("3,2", 1),
-            ("3,1,1+", 1),
-            ("3,1,1-", 1),
-        ],
-        "3": [
-            ("6", 1),
-            ("5,1", 4),
-            ("4,2", 3),
-            ("4,1,1", 4),
-            ("3,3", 1),
-            ("3,2,1+", 2),
-            ("3,2,1-", 2),
-        ],
-        "7/2": [
-            ("5", 5),
-            ("4,1", 11),
-            ("3,2", 8),
-            ("3,1,1+", 6),
-            ("3,1,1-", 6),
-        ],
-        "4": [
-            ("6", 4),
-            ("5,1", 12),
-            ("4,2", 16),
-            ("4,1,1", 19),
-            ("3,3", 7),
-            ("3,2,1+", 12),
-            ("3,2,1-", 12),
-        ],
-    },
-}
+# Every subscript of the six reference towers, one block each, as decompose
+# --format text prints a row: a "group:n module" head, then one line per
+# level from 0 by halves, cells label:count in display order. The last line
+# is the level a tower is built to.
+GOLDEN = """
+S:4 perm
+4:1
+3:1
+4:1  3,1:1
+3:2  2,1:1
+4:2  3,1:3  2,2:1  2,1,1:1
+3:5  2,1:5  1,1,1:1
+4:5  3,1:10  2,2:5  2,1,1:6  1,1,1,1:1
+3:15  2,1:21  1,1,1:7
+4:15  3,1:36  2,2:21  2,1,1:28  1,1,1,1:7
+
+A:4 perm
+4:1
+3:1
+4:1  3,1:1
+3:2  2,1+:1  2,1-:1
+4:2  3,1:4  2,2+:1  2,2-:1
+3:6  2,1+:5  2,1-:5
+4:6  3,1:16  2,2+:5  2,2-:5
+3:22  2,1+:21  2,1-:21
+
+S:6 perm
+6:1
+5:1
+6:1  5,1:1
+5:2  4,1:1
+6:2  5,1:3  4,2:1  4,1,1:1
+5:5  4,1:5  3,2:1  3,1,1:1
+6:5  5,1:10  4,2:6  4,1,1:6  3,3:1  3,2,1:2  3,1,1,1:1
+5:15  4,1:22  3,2:9  3,1,1:9  2,2,1:2  2,1,1,1:1
+6:15  5,1:37  4,2:31  4,1,1:31  3,3:9  3,2,1:20  3,1,1,1:10  2,2,2:2  2,2,1,1:3  2,1,1,1,1:1
+
+S:6 refl
+6:1
+5:1
+6:0  5,1:1
+5:1  4,1:1
+6:1  5,1:1  4,2:1  4,1,1:1
+5:2  4,1:3  3,2:1  3,1,1:1
+6:1  5,1:4  4,2:3  4,1,1:3  3,3:1  3,2,1:2  3,1,1,1:1
+5:5  4,1:10  3,2:6  3,1,1:6  2,2,1:2  2,1,1,1:1
+6:4  5,1:11  4,2:13  4,1,1:13  3,3:5  3,2,1:12  3,1,1,1:6  2,2,2:2  2,2,1,1:3  2,1,1,1,1:1
+
+A:6 perm
+6:1
+5:1
+6:1  5,1:1
+5:2  4,1:1
+6:2  5,1:3  4,2:1  4,1,1:1
+5:5  4,1:5  3,2:1  3,1,1+:1  3,1,1-:1
+6:5  5,1:10  4,2:6  4,1,1:7  3,3:1  3,2,1+:2  3,2,1-:2
+5:15  4,1:23  3,2:11  3,1,1+:9  3,1,1-:9
+6:15  5,1:38  4,2:34  4,1,1:41  3,3:11  3,2,1+:20  3,2,1-:20
+
+A:6 refl
+6:1
+5:1
+6:0  5,1:1
+5:1  4,1:1
+6:1  5,1:1  4,2:1  4,1,1:1
+5:2  4,1:3  3,2:1  3,1,1+:1  3,1,1-:1
+6:1  5,1:4  4,2:3  4,1,1:4  3,3:1  3,2,1+:2  3,2,1-:2
+5:5  4,1:11  3,2:8  3,1,1+:6  3,1,1-:6
+6:4  5,1:12  4,2:16  4,1,1:19  3,3:7  3,2,1+:12  3,2,1-:12
+"""
 
 
 def run_golden():
@@ -208,17 +100,22 @@ def run_golden():
     Returns (suite name, passed, detail) triples, one per tower.
     """
     results = []
-    for (group, n, module), rows in GOLDEN.items():
-        diagram = build_diagram(group, n, module, Fraction(len(rows) - 1, 2))
+    for block in GOLDEN.strip().split("\n\n"):
+        head, *lines = block.splitlines()
+        pair, module = head.split()
+        group, n = pair.split(":")
+        cells = [[cell.rsplit(":", 1) for cell in line.split()] for line in lines]
+        rows = [[(label, int(count)) for label, count in row] for row in cells]
+        diagram = build_diagram(group, int(n), module, Fraction(len(rows) - 1, 2))
         problems = []
-        for (level, want), row in zip(rows.items(), diagram.rows):
+        for i, (want, row) in enumerate(zip(rows, diagram.rows)):
             got = [(format_label(lab), count) for lab, count in row]
             if got != want:
-                problems.append(f"row {level}: {got} != {want}")
+                problems.append(f"row {Fraction(i, 2)}: {got} != {want}")
         if len(diagram.rows) != len(rows):
             problems.append("row count mismatch")
         detail = problems[0] if problems else f"{len(diagram.rows)} rows"
-        results.append((f"golden {group}:{n} {module}", not problems, detail))
+        results.append((f"golden {head}", not problems, detail))
     return results
 
 

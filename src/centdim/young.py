@@ -59,9 +59,14 @@ def partition_sort_key(lam):
     return tuple(map(neg, lam))
 
 
-@cache
 def conjugate(lam):
-    """Transpose of the Young diagram."""
+    """Transpose of the Young diagram, lam checked before the memo is read
+    (as num_syt's is); a caller that checked lam may read _conjugate."""
+    return _conjugate(check_partition(lam))
+
+
+@cache
+def _conjugate(lam):
     if not lam:
         return ()
     return tuple(sum(1 for p in lam if p >= c) for c in range(1, lam[0] + 1))
@@ -79,7 +84,7 @@ def num_syt(lam):
 @cache
 def _num_syt(lam):
     n = sum(lam)
-    cols = conjugate(lam)
+    cols = _conjugate(lam)
     denom = 1
     for i, part in enumerate(lam):
         for j in range(part):

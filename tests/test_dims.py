@@ -429,6 +429,42 @@ def test_stable_dimensions_answer_up_to_the_cap_in_a_fresh_process():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True 1\n", "")
 
 
+def test_algebra_dimension_refuses_its_level_2k_table_before_any_read():
+    # the whole algebra reads the Stirling table at level 2k: n = k = 600
+    # needs 1200 * 600 cells, though each block's level-600 table passes
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            dim_z_algebra(ctx("S", 600, "perm", 600))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == (
+        "the algebra of S:600 perm at level 600 needs 720000 Stirling numbers, "
+        "above the cap of 500000"
+    )
+    # one row of the level-1200 table would hold 600 integers of 28 bytes or more
+    assert peak < 28 * 600, peak
+
+
+def test_algebra_dimension_answers_under_the_cap_in_a_fresh_process():
+    # n = k = 400 reads 800 * 400 cells; S_2 at level 6000 reads two columns
+    src = Path(centdim.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "from centdim.arith import bell_restricted\n"
+         "from centdim.dims import GroupModuleContext, dim_z_algebra\n"
+         "big = dim_z_algebra(GroupModuleContext('S', 400, 'perm', 400))\n"
+         "wide = dim_z_algebra(GroupModuleContext('S', 2, 'perm', 6000))\n"
+         "print(big == bell_restricted(800, 400), wide == 2 ** 11999)\n"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True True\n", "")
+
+
 def test_lam2small_closed_form():
     # second part at most 2: the tail collapses to two Stirling terms
     for n in range(2, 8):
@@ -512,6 +548,14 @@ def test_model_block_dimensions():
         dim_model_block(3, 2, 1)
     with pytest.raises(ValueError):
         dim_model_block(2, 3, 1)
+
+
+def test_model_block_refuses_non_integer_r_and_p():
+    # checked as k is, before the range and parity checks
+    with pytest.raises(ValueError, match=r"^need integers r and p, got r=1\.0, p=1$"):
+        dim_model_block(3, 1.0, 1)
+    with pytest.raises(ValueError, match=r"^need integers r and p, got r=2, p=0\.0$"):
+        dim_model_block(3, 2, 0.0)
 
 
 def test_decompose_known_rows():

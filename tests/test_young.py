@@ -1,11 +1,16 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 from seed_reference import Dominance, dominance_compare, hook_length, kostka
 
+import centdim
 from centdim.young import (
     conjugate,
     format_partition,
@@ -65,6 +70,33 @@ def test_conjugate_examples():
 def test_conjugate_is_involutive(lam):
     assert conjugate(conjugate(lam)) == lam
     assert sum(conjugate(lam)) == sum(lam)
+
+
+def test_conjugate_refuses_non_partitions_before_its_memo_in_a_fresh_process():
+    # the memo is read only after the check, so no refusal leaves an answer
+    # behind for a later caller, as (2,) for (1, 2) once was
+    src = Path(centdim.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "from centdim.young import _conjugate, conjugate\n"
+         "for bad in ((1, 2), None, (2, 0)):\n"
+         "    try:\n"
+         "        conjugate(bad)\n"
+         "    except ValueError as exc:\n"
+         "        print(exc)\n"
+         "print(_conjugate.cache_info().currsize)\n"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [
+        "not a valid partition: (1, 2)",
+        "not a valid partition: None",
+        "not a valid partition: (2, 0)",
+        "0",
+    ]
 
 
 def test_dominance_examples():
