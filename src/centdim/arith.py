@@ -7,11 +7,12 @@ which keeps the summation code elsewhere free of edge-case guards.
 """
 
 from functools import cache
-from math import comb
+from math import comb, prod
 
 
 def binomial(n, k):
     """C(n, k), with 0 for k outside 0..n."""
+    check_integers("binomial: need integers n and k", n, k)
     if n < 0:
         raise ValueError(f"binomial: n must be nonnegative, got {n}")
     if k < 0 or k > n:
@@ -51,11 +52,12 @@ def _staircase(table, c, k, t):
     return table[t][e]
 
 
-def _check_integers(k, t):
-    """Refuse non-integers before any memo or table read: 3.0 == 3 and both
-    hash alike, so a memo would answer for it once 3 had been asked."""
-    if not (isinstance(k, int) and isinstance(t, int)):
-        raise TypeError(f"Stirling numbers need integers k and t, got {k!r}, {t!r}")
+def check_integers(what, *values):
+    """Refuse non-integers with ValueError before any memo or table read:
+    3.0 == 3 and both hash alike, so a memo would answer for it once 3 had
+    been asked."""
+    if not all(isinstance(value, int) for value in values):
+        raise ValueError(f"{what}, got {', '.join(map(repr, values))}")
 
 
 def stirling2(k, t):
@@ -66,7 +68,7 @@ def stirling2(k, t):
     Values are read from a table filled bottom-up, so there is no recursion
     and no depth limit.
     """
-    _check_integers(k, t)
+    check_integers("Stirling numbers need integers k and t", k, t)
     return _stirling2(k, t)
 
 
@@ -84,12 +86,13 @@ def signed_stirling2(k, t):
     """sum_j (-1)^(k-j) C(k, j) S2(j, t), from the recurrence with c = -1,
     so W(k, 0) = (-1)^k. Summed over t it counts the singleton-free set
     partitions of a k-set. Total and table-backed like stirling2."""
-    _check_integers(k, t)
+    check_integers("Stirling numbers need integers k and t", k, t)
     return _staircase(_SIGNED_TABLE, -1, k, t)
 
 
 def bell_restricted(k, n):
     """B(k, n): set partitions of a k-set into at most n blocks."""
+    check_integers("bell_restricted: need integers k and n", k, n)
     return sum(stirling2(k, t) for t in range(min(k, n) + 1))
 
 
@@ -98,11 +101,7 @@ def odd_double_factorial(m):
 
     Defined as 1 for m in {-1, 0}; positive even m is a domain error.
     """
-    if m in (-1, 0):
-        return 1
-    if m < -1 or m % 2 == 0:
+    check_integers("odd_double_factorial: need an integer m", m)
+    if m < -1 or m > 0 and m % 2 == 0:
         raise ValueError(f"odd_double_factorial: need odd m >= -1, got {m}")
-    result = 1
-    for j in range(1, m + 1, 2):
-        result *= j
-    return result
+    return prod(range(1, m + 1, 2))

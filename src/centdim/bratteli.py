@@ -95,16 +95,12 @@ def row_square_sum(row):
 # tuples: a cached value is shared by every later build.
 @cache
 def _restriction(group, label):
-    if group == "S":
-        return tuple(restrict_sym(label))
-    return tuple(restrict_alt(label))
+    return tuple(restrict_sym(label) if group == "S" else restrict_alt(label))
 
 
 @cache
 def _inductions(group, label, to_size):
-    if group == "S":
-        return tuple(induce_sym(label, to_size))
-    return tuple(induce_alt(label, to_size))
+    return tuple(induce_sym(label, to_size) if group == "S" else induce_alt(label, to_size))
 
 
 def build_diagram(group, n, module, max_level):
@@ -116,8 +112,8 @@ def build_diagram(group, n, module, max_level):
     the reflection module. Each distinct label is restricted or induced
     once per process, when the first row below it is built; later rows and
     builds read the memo. Rows k and k + 1/2 hold the stable-range labels
-    of dims.decompose; a top row above dims.MAX_LABELS, or rows above
-    dims.MAX_STIRLING_CELLS in all, are refused before any row is built.
+    of dims.decompose; a top row above the label cap, or rows above the
+    Stirling cell cap in all (see limits), are refused before any row is built.
     The root is built before any cap reads n, so a non-integer n is refused
     as a partition at every level, 0 included.
     """

@@ -125,14 +125,10 @@ def _cmd_decompose(args):
         print(json.dumps(doc, separators=(",", ":")))
     else:
         import csv
-        import io
 
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["label", "multiplicity"])
-        for lab, d in blocks:
-            writer.writerow([lab, d])
-        sys.stdout.write(buf.getvalue())
+        writer.writerows(blocks)
     return 0
 
 

@@ -11,7 +11,7 @@ R makes R^k the alternating binomial transform of M^j over j <= k, and the
 weights carry that transform (see _weight). Every dim_* function is that
 kernel, the stable large-n ones at label size 2k + 1. decompose scores
 only the stable range, the labels whose first part is at least m - k, and
-refuses more than MAX_LABELS of them before building any.
+counts them against the label cap in limits before building any.
 
 Levels are fractions.Fraction values with denominator 1 or 2.
 """
@@ -22,8 +22,9 @@ from fractions import Fraction
 from functools import cache
 
 # bell_restricted and kostka_hook_type are unused; the bench tracer binds them.
-from .arith import bell_restricted, binomial, signed_stirling2, stirling2
+from .arith import bell_restricted, signed_stirling2, stirling2
 from .branch import _Frozen, _fold, alt_labels, check_label
+from .limits import check
 from .young import (
     bounded_partitions,
     check_partition,
@@ -53,8 +54,8 @@ def parse_level(text):
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"cannot parse level {text!r}") from None
     if huge and level:
-        if exponent > 0 and level > 0:
-            raise OverflowError(f"level must be at most {MAX_LEVEL}")
+        if exponent > 0 and level > 0:  # above 10**1000: past any cap
+            check("level", math.inf, "level must be at most", OverflowError)
         raise ValueError(f"level must be a nonnegative half-integer, got {text}")
     return check_level(level)
 
@@ -66,32 +67,16 @@ def check_level(level):
     return level
 
 
-# Scale caps, checked before any work. A level-k block with labels of size m
-# reads a Stirling table of about k * min(k, m) cells, each of up to
-# k * log2(m) bits; the tower's subscripts are the same numbers.
-MAX_LEVEL = 10_000
-MAX_STIRLING_CELLS = 500_000
-
-
 def check_scale(level, size):
-    """Refuse a level above MAX_LEVEL, or one whose Stirling table for labels
-    of the given size has more than MAX_STIRLING_CELLS cells."""
+    """Refuse a level whose floor k passes the level cap, or whose Stirling
+    table for labels of the given size, about k * min(k, size) cells of up to
+    k * log2(size) bits each, passes the cell cap; the tower's subscripts are
+    the same numbers."""
     k = level_floor(level)
-    if k > MAX_LEVEL:
-        raise ValueError(f"level must be at most {MAX_LEVEL}")
+    check("level", k, "level must be at most")
     cells = k * min(k, size)
-    if cells > MAX_STIRLING_CELLS:
-        raise ValueError(
-            f"level {k} with labels of size {size} needs {cells} Stirling "
-            f"numbers, above the cap of {MAX_STIRLING_CELLS}"
-        )
-
-
-# Label cap, checked before any label is built. decompose scores, and a
-# tower row holds, the partitions of m in the stable range, those with a
-# first part of at least m - k; for k >= m that is all p(m) of them, and
-# n = k = 40 has p(40) = 37,338.
-MAX_LABELS = 50_000
+    check("stirling_cells", cells,
+          f"level {k} with labels of size {size} needs {cells} Stirling numbers, above the cap of")
 
 
 def stable_shapes(k, m):
@@ -125,32 +110,26 @@ def stable_count(k, m):
 
 
 def check_labels(level, size):
-    """Refuse a level whose stable-range labels of the given size number
-    more than MAX_LABELS."""
+    """Refuse a level whose stable-range labels of the given size, those that
+    decompose scores and a tower row holds, pass the label cap."""
     k = level_floor(level)
     count = stable_count(k, size)
-    if count > MAX_LABELS:
-        raise ValueError(
-            f"level {k} with labels of size {size} has {count} candidate "
-            f"labels, above the cap of {MAX_LABELS}"
-        )
+    check("labels", count,
+          f"level {k} with labels of size {size} has {count} candidate labels, above the cap of")
 
 
 def check_tower(level, size):
-    """Refuse a tower to level whose rows hold more than MAX_STIRLING_CELLS
-    stable-range labels in all: integer rows hold labels of the given size,
-    half rows labels of size - 1. Every row from k = m - 1 on holds all the
-    partitions of m, so that count is read once."""
+    """Refuse a tower to level whose rows hold more stable-range labels in
+    all than the Stirling cell cap: integer rows hold labels of the given
+    size, half rows labels of size - 1. Every row from k = m - 1 on holds
+    all the partitions of m, so that count is read once."""
     k = level_floor(level)
     total = 0
     for top, m in ((k, size), (int(2 * level) - k - 1, size - 1)):
         counts = [stable_count(j, m) for j in range(min(top, m - 1) + 1)]
         total += sum(counts) + (top + 1 - len(counts)) * counts[-1] if counts else 0
-    if total > MAX_STIRLING_CELLS:
-        raise ValueError(
-            f"tower to level {format_level(level)} with labels of size {size} has "
-            f"{total} candidate vertices, above the cap of {MAX_STIRLING_CELLS}"
-        )
+    check("stirling_cells", total, f"tower to level {format_level(level)} with labels of size "
+          f"{size} has {total} candidate vertices, above the cap of")
 
 
 def format_level(level):
@@ -282,16 +261,13 @@ def dim_z_algebra(ctx):
     weights, at t = m - 1 and t = m, appear, except when the acting group
     has at most one letter (A_0 and A_1 coincide with S_0 and S_1, so the S
     value stands). The table at level 2k holds about 2k * min(2k, m) cells,
-    refused above MAX_STIRLING_CELLS before any is read.
+    counted against the Stirling cell cap before any is read.
     """
     weight, s = _weight(ctx)
     k, m = 2 * ctx.k, ctx.label_size
     cells = k * min(k, m)
-    if cells > MAX_STIRLING_CELLS:
-        raise ValueError(
-            f"the algebra of {ctx.group}:{ctx.n} {ctx.module} at level {ctx.level} needs "
-            f"{cells} Stirling numbers, above the cap of {MAX_STIRLING_CELLS}"
-        )
+    check("stirling_cells", cells, f"the algebra of {ctx.group}:{ctx.n} {ctx.module} at "
+          f"level {ctx.level} needs {cells} Stirling numbers, above the cap of")
     value = _abacus_sum(weight, k, s, min(k, m), 0)
     if ctx.group == "A" and m >= 2:
         value += weight(k + s, m + s - 1) + weight(k + s, m + s)
@@ -302,7 +278,7 @@ def dim_z_algebra(ctx):
 def _abacus_sum(weight, k, s, top, j):
     """The stable-range sum of C(t, j) * weight(k + s, t + s) over
     j <= t <= top; s is _weight's shift."""
-    return sum(binomial(t, j) * weight(k + s, t + s) for t in range(j, top + 1))
+    return sum(math.comb(t, j) * weight(k + s, t + s) for t in range(j, top + 1))
 
 
 def _stable_block(level, module, nu):
@@ -357,9 +333,8 @@ def dim_model_block(k, r, p):
 
 def labels_for(ctx):
     """All candidate labels at ctx's level, in display order."""
-    if ctx.group == "S":
-        return list(partitions_of(ctx.label_size))
-    return alt_labels(ctx.label_size)
+    m = ctx.label_size
+    return list(partitions_of(m)) if ctx.group == "S" else alt_labels(m)
 
 
 def decompose(ctx):

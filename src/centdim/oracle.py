@@ -15,11 +15,8 @@ from functools import cache
 from math import factorial
 
 from .branch import check_label
+from .limits import check
 from .young import check_partition, partitions_of
-
-
-# conjugacy_classes lists the classes of S_n only up to this n
-MAX_N = 10
 
 
 def _class_size(n, ct):
@@ -40,10 +37,12 @@ def conjugacy_classes(n, even_only=False):
     even_only keeps only the classes landing in A_n (even permutations,
     meaning n minus the number of cycles is even). Sizes are always taken
     in S_n; splitting of A_n classes never matters here because the
-    characters being integrated are restrictions from S_n.
+    characters being integrated are restrictions from S_n. The tables stop
+    at the oracle's cap on n.
     """
-    if not isinstance(n, int) or not 1 <= n <= MAX_N:
-        raise ValueError(f"conjugacy_classes: need 1 <= n <= {MAX_N}, got {n}")
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"conjugacy_classes: need an integer n >= 1, got {n}")
+    check("oracle_n", n, f"conjugacy_classes: n = {n} is above the cap of")
     out = []
     for ct in partitions_of(n):
         if even_only and (n - len(ct)) % 2:
@@ -132,9 +131,7 @@ def multiplicity_oracle(ctx, label):
     shift = ctx.n - m - (1 if ctx.module == "refl" else 0)
     total = sum(a * (f + shift) ** k for f, a in sums)
     if total % order:
-        raise ValueError(
-            f"non-integer multiplicity for {label} in {ctx}: {total}/{order}"
-        )
+        raise ValueError(f"non-integer multiplicity for {label} in {ctx}: {total}/{order}")
     mult = total // order
     if ctx.group == "A" and sign is not None:
         if mult % 2:

@@ -14,12 +14,8 @@ from fractions import Fraction
 
 from .bratteli import build_diagram, format_label
 from .dims import GROUPS, MODULES, GroupModuleContext, block_dimension, labels_for
-from .oracle import MAX_N, multiplicity_oracle
-
-# The most checks an oracle window may hold; each costs one oracle and one
-# kernel call. The largest window under it for each --n-max from 2 to 10,
-# such as --n-max 2 --k-max 4999, runs in 0.7 to 1.3 s on a 2-core machine.
-MAX_ORACLE_CHECKS = 50_000
+from .limits import check
+from .oracle import multiplicity_oracle
 
 # Every subscript of the six reference towers, one block each, as decompose
 # --format text prints a row: a "group:n module" head, then one line per
@@ -136,22 +132,21 @@ def run_oracle(n_max=6, k_max=4):
 
     Sweeps both groups, both modules, n from 2 to n_max, and every integer
     and half-integer level up to k_max. Returns one triple per
-    (group, module) suite. A window that holds no check, that reaches past
-    the oracle's largest n, or that holds more than MAX_ORACLE_CHECKS
-    checks, is refused before any suite runs.
+    (group, module) suite. A window that holds no check, or whose n or
+    check count passes its cap, is refused before any suite runs. Each check
+    costs one oracle and one kernel call; the largest window under the cap
+    for each --n-max from 2 to 10, such as --n-max 2 --k-max 4999, runs in
+    0.7 to 1.3 s on a 2-core machine.
     """
     if n_max < 2 or k_max < 0:
         raise ValueError(
             f"empty oracle window: need n_max >= 2 and k_max >= 0, got {n_max} and {k_max}"
         )
-    if n_max > MAX_N:
-        raise ValueError(f"oracle window too wide: need n_max <= {MAX_N}, got {n_max}")
+    check("oracle_n", n_max, f"oracle window too wide: --n-max {n_max} is above the cap of")
     checks = oracle_checks(n_max, k_max)
-    if checks > MAX_ORACLE_CHECKS:
-        raise ValueError(
-            f"oracle window too large: --n-max {n_max} --k-max {k_max} holds "
-            f"{checks} checks, above the cap of {MAX_ORACLE_CHECKS}"
-        )
+    check("oracle_checks", checks,
+          f"oracle window too large: --n-max {n_max} --k-max {k_max} holds {checks} checks, "
+          "above the cap of")
     results = []
     for group in GROUPS:
         for module in MODULES:

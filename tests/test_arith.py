@@ -19,6 +19,7 @@ from centdim.arith import (
     signed_stirling2,
     stirling2,
 )
+from centdim.young import involutions_with_fixed_points, kostka_hook_type, partitions_of
 
 
 def test_binomial_values():
@@ -28,6 +29,29 @@ def test_binomial_values():
     assert binomial(4, 5) == 0
     with pytest.raises(ValueError):
         binomial(-1, 0)
+
+
+FLOAT_CALLS = [  # (function, integer arguments, the same with a float)
+    (partitions_of, (2,), (2.0,)),
+    (involutions_with_fixed_points, (3, 1), (3.0, 1)),
+    (kostka_hook_type, ((2, 1), 3, 1), ((2, 1), 3, 1.0)),
+    (binomial, (3, 1), (3.0, 1)),
+    (odd_double_factorial, (3,), (3.0,)),
+    (stirling2, (3, 2), (3.0, 2)),
+    (signed_stirling2, (3, 2), (3.0, 2)),
+    (bell_restricted, (3, 2), (3.0, 2)),
+]
+
+
+@pytest.mark.parametrize("f, good, bad", [pytest.param(*c, id=c[0].__name__) for c in FLOAT_CALLS])
+def test_a_float_argument_is_refused_with_value_error(f, good, bad):
+    # 3.0 == 3 and both hash alike: with the integer call warm, a memo or
+    # table read before the check would answer for the float
+    f(*good)
+    info = f.cache_info() if hasattr(f, "cache_info") else None
+    with pytest.raises(ValueError, match=r"need (integers|an integer) .*, got "):
+        f(*bad)
+    assert (f.cache_info() if info else None) == info
 
 
 def test_stirling2_known_values():

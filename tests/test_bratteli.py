@@ -7,6 +7,7 @@ from fractions import Fraction
 import golden
 import pytest
 
+from centdim import limits
 from centdim.bratteli import (
     BratteliDiagram,
     build_diagram,
@@ -161,9 +162,9 @@ def test_tower_cap_counts_every_vertex(monkeypatch):
     for n, top in ((2, Fraction(5)), (6, Fraction(7, 2)), (9, Fraction(12))):
         monkeypatch.undo()
         vertices = sum(map(len, build_diagram("S", n, "perm", top).rows))
-        monkeypatch.setattr("centdim.dims.MAX_STIRLING_CELLS", vertices)
+        monkeypatch.setitem(limits.CAPS, "stirling_cells", (vertices, "Stirling numbers"))
         build_diagram("S", n, "perm", top)
-        monkeypatch.setattr("centdim.dims.MAX_STIRLING_CELLS", vertices - 1)
+        monkeypatch.setitem(limits.CAPS, "stirling_cells", (vertices - 1, "Stirling numbers"))
         with pytest.raises(ValueError) as info:
             build_diagram("S", n, "perm", top)
         assert str(info.value).endswith(

@@ -15,17 +15,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import centdim
-from centdim import cli
+from centdim import cli, limits
 from centdim.bijection import path_to_pair
 from centdim.branch import induce_sym, restrict_sym
 from centdim.cli import main
-from centdim.dims import (
-    MAX_LEVEL,
-    MAX_STIRLING_CELLS,
-    GroupModuleContext,
-    block_dimension,
-    parse_level,
-)
+from centdim.dims import GroupModuleContext, block_dimension, parse_level
 from centdim.oracle import multiplicity_oracle
 from centdim.young import format_partition, partitions_of
 
@@ -409,7 +403,6 @@ def test_verify_refuses_a_window_without_checks(capsys, monkeypatch, window, got
 def test_verify_refuses_a_window_past_the_oracle(capsys, monkeypatch, window, got):
     # the S perm suite used to run before conjugacy_classes refused n = 11
     from centdim import verify
-    from centdim.oracle import MAX_N
 
     def unreachable(*args):
         raise AssertionError("verify did work before refusing its window")
@@ -418,8 +411,8 @@ def test_verify_refuses_a_window_past_the_oracle(capsys, monkeypatch, window, go
         monkeypatch.setattr(verify, name, unreachable)
     code, out, err = run(capsys, "verify", *window)
     assert (code, out) == (3, "")
-    assert err == f"error: oracle window too wide: need n_max <= {MAX_N}, got {got}\n"
-    assert MAX_N == 10
+    assert err == f"error: oracle window too wide: --n-max {got} is above the cap of 10\n"
+    assert limits.CAPS["oracle_n"][0] == 10
 
 
 def test_oracle_check_count_is_what_the_sweep_runs():
@@ -461,16 +454,16 @@ def test_verify_refuses_a_window_above_the_check_cap(capsys, monkeypatch, window
         f"error: oracle window too large: --n-max {n_max} --k-max {k_max} holds "
         f"{checks} checks, above the cap of 50000\n"
     )
-    assert verify.MAX_ORACLE_CHECKS == 50_000
+    assert limits.CAPS["oracle_checks"][0] == 50_000
 
 
 def test_verify_runs_a_window_at_the_check_cap(capsys, monkeypatch):
     from centdim import verify
 
-    monkeypatch.setattr(verify, "MAX_ORACLE_CHECKS", 736)
+    monkeypatch.setitem(limits.CAPS, "oracle_checks", (736, "checks"))
     code, out, _ = run(capsys, "verify", "--scope", "oracle")
     assert (code, out.splitlines()[-1]) == (0, "summary: 4 suites, 0 failures")
-    monkeypatch.setattr(verify, "MAX_ORACLE_CHECKS", 735)
+    monkeypatch.setitem(limits.CAPS, "oracle_checks", (735, "checks"))
     code, out, err = run(capsys, "verify", "--scope", "oracle")
     assert (code, out) == (3, "")
     assert "holds 736 checks, above the cap of 735" in err
@@ -504,10 +497,9 @@ def test_bijection_refuses_n_below_one(capsys, n, direction, doc):
     [("to-pair", '{"path":[[10001]]}'), ("to-path", '{"setPartition":[[1]],"tableau":[[1]]}')],
 )
 def test_bijection_refuses_n_above_the_cap_before_any_row(capsys, direction, doc):
-    from centdim.bijection import MAX_N
-
-    # a row of MAX_N + 1 entries alone would take 8 bytes for each entry
-    argv = ["bijection", "--n", str(MAX_N + 1), "--direction", direction, "--input", doc]
+    cap = limits.CAPS["bijection_n"][0]
+    # a row of cap + 1 entries alone would take 8 bytes for each entry
+    argv = ["bijection", "--n", str(cap + 1), "--direction", direction, "--input", doc]
     tracemalloc.start()
     try:
         code = main(argv)
@@ -516,8 +508,8 @@ def test_bijection_refuses_n_above_the_cap_before_any_row(capsys, direction, doc
         tracemalloc.stop()
     captured = capsys.readouterr()
     assert (code, captured.out) == (3, "")
-    assert captured.err == f"error: n must be at most {MAX_N}, got {MAX_N + 1}\n"
-    assert peak < 8 * (MAX_N + 1)
+    assert captured.err == f"error: n = {cap + 1} is above the cap of {cap}\n"
+    assert peak < 8 * (cap + 1)
 
 
 def test_verify_refuses_an_unknown_scope():
@@ -813,14 +805,15 @@ def test_bad_levels_exit_2_at_once(capsys, level, line):
 
 def test_scale_caps_admit_their_bounds():
     # the caps refuse only what lies beyond them: a half level counts its floor
-    assert (MAX_LEVEL, MAX_STIRLING_CELLS) == (10_000, 500_000)
-    GroupModuleContext("A", 3, "refl", Fraction(2 * MAX_LEVEL + 1, 2))
-    GroupModuleContext("S", 50, "perm", Fraction(MAX_LEVEL))
+    max_level, max_cells = limits.CAPS["level"][0], limits.CAPS["stirling_cells"][0]
+    assert (max_level, max_cells) == (10_000, 500_000)
+    GroupModuleContext("A", 3, "refl", Fraction(2 * max_level + 1, 2))
+    GroupModuleContext("S", 50, "perm", Fraction(max_level))
     GroupModuleContext("S", 701, "perm", Fraction(1401, 2))
     with pytest.raises(ValueError, match="at most"):
-        GroupModuleContext("S", 3, "perm", Fraction(MAX_LEVEL + 1))
+        GroupModuleContext("S", 3, "perm", Fraction(max_level + 1))
     with pytest.raises(ValueError, match="Stirling numbers"):
-        GroupModuleContext("S", 51, "perm", Fraction(MAX_LEVEL))
+        GroupModuleContext("S", 51, "perm", Fraction(max_level))
     with pytest.raises(ValueError, match="Stirling numbers"):
         GroupModuleContext("S", 709, "refl", Fraction(708))
 

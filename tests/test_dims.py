@@ -12,10 +12,10 @@ import pytest
 from seed_reference import bell, kostka, singleton_free_bell
 
 import centdim
+from centdim import limits
 from centdim.arith import bell_restricted, binomial, stirling2
 from centdim.branch import AltLabel, alt_labels, induce_alt, induce_sym, restrict_alt, restrict_sym
 from centdim.dims import (
-    MAX_LABELS,
     GroupModuleContext,
     block_dimension,
     check_labels,
@@ -723,7 +723,7 @@ def test_stable_count_is_every_partition_once_k_reaches_m():
 
 
 def test_label_cap_admits_its_bound():
-    assert MAX_LABELS == 50_000
+    assert limits.CAPS["labels"][0] == 50_000
     check_labels(Fraction(41), 41)  # p(41) = 44,583
     check_labels(Fraction(83, 2), 41)  # a half level counts its floor
     check_labels(Fraction(2), 10_000)

@@ -124,8 +124,8 @@ def test_memos_answer_alike_cold_and_warm():
     cold = [
         "ValueError: not a valid partition: (3, 1.0)",
         "ValueError: not a valid partition: (3, 1.0)",
-        "TypeError: Stirling numbers need integers k and t, got 3.0, 2",
-        "TypeError: Stirling numbers need integers k and t, got 3.0, 2",
+        "ValueError: Stirling numbers need integers k and t, got 3.0, 2",
+        "ValueError: Stirling numbers need integers k and t, got 3.0, 2",
     ]
     assert lines == cold + cold
 
