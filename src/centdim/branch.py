@@ -15,6 +15,7 @@ restrict_sym_to_alt, each label is kept once, and a signed label keeps only
 its own half of a split one. alt_labels folds the partitions of m.
 """
 
+from .arith import check_integers
 from .young import (
     check_partition,
     check_partition_of,
@@ -171,6 +172,7 @@ def restrict_sym(lam):
 def induce_sym(mu, n):
     """Induction of the S_{n-1} irreducible mu to S_n: add one cell. A higher
     cell gives a larger shape, so rows walked top down give display order."""
+    check_integers("induce_sym: need an integer n", n)
     mu = check_partition_of(mu, n - 1)
     out = []
     for i in range(len(mu) + 1):
@@ -206,6 +208,8 @@ def restrict_alt(label):
     self-conjugate corner both signs, or only the input's sign when it has
     one. Multiplicity-free in all cases.
     """
+    if not isinstance(label, AltLabel):
+        raise ValueError(f"an A label must be an AltLabel, got {label!r}")
     if label.size < 2:
         raise ValueError(f"cannot restrict {label}: the subgroup is trivial")
     return _fold(restrict_sym(label.base), label.sign)
@@ -216,6 +220,7 @@ def induce_alt(label, n):
     folded (inducing the conjugate gives the conjugate shapes, which fold
     the same). A signed label reaches only its own half of a split shape.
     """
+    check_integers("induce_alt: need an integer n", n)
     base, sign = check_label("A", label, n - 1)
     return _fold(induce_sym(base, n), sign)
 

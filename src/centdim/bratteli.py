@@ -122,7 +122,7 @@ def build_diagram(group, n, module, max_level):
     if module not in ("perm", "refl"):
         raise ValueError(f"module must be 'perm' or 'refl', got {module!r}")
     minimum = 2 if group == "S" else 4
-    if n < minimum:
+    if isinstance(n, int) and n < minimum:  # any other n is refused as a partition
         raise ValueError(f"group {group} needs n >= {minimum}, got {n}")
     if group == "S":
         root = check_partition((n,))

@@ -61,7 +61,10 @@ def parse_level(text):
 
 
 def check_level(level):
-    level = Fraction(level)
+    try:
+        level = Fraction(level)
+    except TypeError:  # not a number at all, such as None
+        raise ValueError(f"level must be a nonnegative half-integer, got {level!r}") from None
     if level < 0 or level.denominator not in (1, 2):
         raise ValueError(f"level must be a nonnegative half-integer, got {level}")
     return level

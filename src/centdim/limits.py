@@ -7,9 +7,8 @@ it. This module imports nothing from the package.
 CAPS = {
     "level": (10_000, "level floor"),
     "stirling_cells": (500_000, "Stirling numbers"),  # and a tower's vertices
-    "labels": (50_000, "candidate labels"),
-    "oracle_checks": (50_000, "checks"),
-    "oracle_n": (10, "letters"),
+    "labels": (50_000, "candidate labels"),  # and conjugacy_classes' p(n) classes
+    "oracle_work": (55_000, "checks and character values"),
     "bijection_n": (10_000, "letters"),
 }
 

@@ -8,24 +8,20 @@ for the reflection module), raised to the tensor exponent, so the whole
 inner product stays in integer arithmetic. It depends on the class only
 through its fixed points f, so the class sum is grouped once per label into
 sums a_f of |C| chi(C), and each level is one dot product of the a_f with
-the powers of the module values. The class tables are capped at desk scale.
+the powers of the module values. The class tables are capped by their size.
 """
 
+from collections import Counter
 from functools import cache
-from math import factorial
+from math import factorial, prod
 
 from .branch import check_label
-from .limits import check
-from .young import check_partition, partitions_of
+from .limits import CAPS, check
+from .young import check_partition, partition_count, partitions_of
 
 
 def _class_size(n, ct):
-    mult = {}
-    for part in ct:
-        mult[part] = mult.get(part, 0) + 1
-    z = 1
-    for j, m in mult.items():
-        z *= factorial(m) * j**m
+    z = prod(factorial(m) * j**m for j, m in Counter(ct).items())
     if factorial(n) % z:
         raise RuntimeError(f"centralizer order {z} of {ct} does not divide {n}!")
     return factorial(n) // z
@@ -37,12 +33,14 @@ def conjugacy_classes(n, even_only=False):
     even_only keeps only the classes landing in A_n (even permutations,
     meaning n minus the number of cycles is even). Sizes are always taken
     in S_n; splitting of A_n classes never matters here because the
-    characters being integrated are restrictions from S_n. The tables stop
-    at the oracle's cap on n.
+    characters being integrated are restrictions from S_n. The p(n) cycle
+    types are counted against the label cap before any is built.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"conjugacy_classes: need an integer n >= 1, got {n}")
-    check("oracle_n", n, f"conjugacy_classes: n = {n} is above the cap of")
+    count = partition_count(n, CAPS["labels"][0])
+    check("labels", count,
+          f"conjugacy_classes: n = {n} has at least {count} classes, above the cap of")
     out = []
     for ct in partitions_of(n):
         if even_only and (n - len(ct)) % 2:

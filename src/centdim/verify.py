@@ -12,10 +12,11 @@ Two kinds of evidence, kept deliberately redundant with the test suite:
 
 from fractions import Fraction
 
+from .arith import check_integers
 from .bratteli import build_diagram, format_label
 from .dims import GROUPS, MODULES, GroupModuleContext, block_dimension, labels_for
 from .limits import check
-from .oracle import multiplicity_oracle
+from .oracle import conjugacy_classes, multiplicity_oracle
 
 # Every subscript of the six reference towers, one block each, as decompose
 # --format text prints a row: a "group:n module" head, then one line per
@@ -115,61 +116,54 @@ def run_golden():
     return results
 
 
-def oracle_checks(n_max, k_max):
-    """How many checks run_oracle makes for a window, counted without
-    running it: k_max + 1 integer and k_max half levels per suite and n."""
-    return sum(
-        (k_max + 1) * len(labels_for(GroupModuleContext(group, n, module, 0)))
-        + k_max * len(labels_for(GroupModuleContext(group, n, module, Fraction(1, 2))))
-        for group in GROUPS
-        for module in MODULES
-        for n in range(2, n_max + 1)
-    )
-
-
 def run_oracle(n_max=6, k_max=4):
     """Replay the character oracle against the closed formulas.
 
     Sweeps both groups, both modules, n from 2 to n_max, and every integer
     and half-integer level up to k_max. Returns one triple per
-    (group, module) suite. A window that holds no check, or whose n or
-    check count passes its cap, is refused before any suite runs. Each check
-    costs one oracle and one kernel call; the largest window under the cap
-    for each --n-max from 2 to 10, such as --n-max 2 --k-max 4999, runs in
-    0.7 to 1.3 s on a 2-core machine.
+    (group, module) suite. Before any suite runs, a window with no check is
+    refused, and so is one whose work passes the oracle_work cap: its checks
+    plus the character values the oracle will hold (labels times classes,
+    the even ones for A, per group and label size), summed n by n as the
+    label lists are built. Each check costs one oracle and one kernel call;
+    the largest window under the cap for each --n-max from 2 to 14, such as
+    --n-max 2 --k-max 5498, runs in 0.5 to 1.3 s on a 2-core machine.
     """
+    check_integers("oracle window: need integers n_max and k_max", n_max, k_max)
     if n_max < 2 or k_max < 0:
         raise ValueError(
             f"empty oracle window: need n_max >= 2 and k_max >= 0, got {n_max} and {k_max}"
         )
-    check("oracle_n", n_max, f"oracle window too wide: --n-max {n_max} is above the cap of")
-    checks = oracle_checks(n_max, k_max)
-    check("oracle_checks", checks,
-          f"oracle window too large: --n-max {n_max} --k-max {k_max} holds {checks} checks, "
-          "above the cap of")
+    suites = {(group, module): [] for group in GROUPS for module in MODULES}
+    checks, values = 0, {}  # values: the character values of each (group, label size)
+    for n in range(2, n_max + 1):
+        for (group, module), rows in suites.items():
+            labels = [  # at integer levels, then at half levels
+                labels_for(GroupModuleContext(group, n, module, Fraction(h, 2))) for h in (0, 1)
+            ]
+            rows.append(labels)
+            checks += (k_max + 1) * len(labels[0]) + k_max * len(labels[1])
+            for m, row in zip((n, n - 1), labels):
+                if (group, m) not in values:
+                    values[group, m] = len(row) * len(conjugacy_classes(m, group == "A"))
+        work = checks + sum(values.values())
+        check("oracle_work", work, f"oracle window too large: --n-max {n_max} --k-max {k_max} "
+              f"needs {work} checks and character values up to n = {n}, above the cap of")
     results = []
-    for group in GROUPS:
-        for module in MODULES:
-            checks = 0
-            problems = []
-            for n in range(2, n_max + 1):
-                labels = [  # at integer levels, then at half levels
-                    labels_for(GroupModuleContext(group, n, module, h)) for h in (0, Fraction(1, 2))
-                ]
-                for twice in range(0, 2 * k_max + 1):
-                    ctx = GroupModuleContext(group, n, module, Fraction(twice, 2))
-                    for label in labels[twice % 2]:
-                        expected = block_dimension(ctx, label)
-                        got = multiplicity_oracle(ctx, label)
-                        checks += 1
-                        if expected != got:
-                            problems.append(
-                                f"n={n} level={ctx.level} label="
-                                f"{format_label(label)}: formula {expected}, "
-                                f"oracle {got}"
-                            )
-            detail = problems[0] if problems else f"{checks} checks"
-            results.append((f"oracle {group} {module}", not problems, detail))
+    for (group, module), rows in suites.items():
+        checks, problems = 0, []
+        for n, labels in enumerate(rows, start=2):
+            for twice in range(0, 2 * k_max + 1):
+                ctx = GroupModuleContext(group, n, module, Fraction(twice, 2))
+                for label in labels[twice % 2]:
+                    expected = block_dimension(ctx, label)
+                    got = multiplicity_oracle(ctx, label)
+                    checks += 1
+                    if expected != got:
+                        problems.append(f"n={n} level={ctx.level} label={format_label(label)}: "
+                                        f"formula {expected}, oracle {got}")
+        detail = problems[0] if problems else f"{checks} checks"
+        results.append((f"oracle {group} {module}", not problems, detail))
     return results
 
 

@@ -5,7 +5,7 @@ partition. Text form is comma-separated parts ("3,1,1") with "empty" for ().
 """
 
 from functools import cache
-from math import factorial
+from math import factorial, isqrt
 from operator import neg
 
 from .arith import binomial, check_integers, odd_double_factorial
@@ -176,6 +176,17 @@ def _partitions_of(n):
 
 
 partitions_of.cache_info = _partitions_of.cache_info  # perfbench/tracing.py reads it
+
+
+def partition_count(n, stop):
+    """p(n), by Euler's pentagonal recurrence; p never falls as n grows, so
+    once some p(j), j <= n, is above stop, that p(j) is returned."""
+    counts = [1]
+    while len(counts) <= n and counts[-1] <= stop:
+        j = len(counts)
+        terms = ((i, i * (3 * i + s) // 2) for i in range(1, isqrt(j) + 1) for s in (-1, 1))
+        counts.append(sum((-1) ** (i + 1) * counts[j - g] for i, g in terms if g <= j))
+    return counts[-1]
 
 
 def bounded_partitions(n, cap):

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 import centdim
 from centdim import cli, limits
 from centdim.bijection import path_to_pair
-from centdim.branch import induce_sym, restrict_sym
+from centdim.branch import alt_labels, induce_sym, restrict_sym
 from centdim.cli import main
 from centdim.dims import GroupModuleContext, block_dimension, parse_level
 from centdim.oracle import multiplicity_oracle
@@ -320,7 +320,7 @@ def test_verify_reports_levels_in_sweep_order(capsys, monkeypatch):
 
 def test_oracle_sweep_lists_each_row_of_labels_once(monkeypatch):
     # one list at integer and one at half levels for each (group, module, n),
-    # and the same again for the check count made before the sweep
+    # built once: the work count made before the sweep reads the same lists
     from centdim import verify
 
     real = verify.labels_for
@@ -329,7 +329,7 @@ def test_oracle_sweep_lists_each_row_of_labels_once(monkeypatch):
     for k_max in (0, 1, 5):
         calls.clear()
         verify.run_oracle(4, k_max)
-        assert len(calls) == 2 * 2 * 4 * 3, k_max
+        assert len(calls) == 2 * 2 * 3 * 2, k_max
 
 
 @pytest.mark.parametrize(
@@ -392,16 +392,14 @@ def test_verify_refuses_a_window_without_checks(capsys, monkeypatch, window, got
     )
 
 
-@pytest.mark.parametrize(
-    "window, got",
-    [
-        (["--scope", "oracle", "--n-max", "11"], "11"),
-        (["--scope", "all", "--n-max", "12", "--k-max", "0"], "12"),
-        (["--n-max", "1000000"], "1000000"),
-    ],
-)
-def test_verify_refuses_a_window_past_the_oracle(capsys, monkeypatch, window, got):
-    # the S perm suite used to run before conjugacy_classes refused n = 11
+def refusal(n_max, k_max, work, n, cap=55_000):
+    return (
+        f"oracle window too large: --n-max {n_max} --k-max {k_max} needs {work} "
+        f"checks and character values up to n = {n}, above the cap of {cap}"
+    )
+
+
+def refuse_without_work(monkeypatch):
     from centdim import verify
 
     def unreachable(*args):
@@ -409,64 +407,105 @@ def test_verify_refuses_a_window_past_the_oracle(capsys, monkeypatch, window, go
 
     for name in ("build_diagram", "block_dimension", "multiplicity_oracle"):
         monkeypatch.setattr(verify, name, unreachable)
+    assert limits.CAPS["oracle_work"][0] == 55_000
+
+
+@pytest.mark.parametrize(
+    "window, got",
+    [
+        (["--scope", "oracle", "--n-max", "11", "--k-max", "43"], "11"),
+        (["--scope", "all", "--n-max", "12", "--k-max", "26"], "12"),
+        (["--n-max", "1000000"], "1000000"),
+    ],
+)
+def test_verify_refuses_a_window_past_the_oracle(capsys, monkeypatch, window, got):
+    # one n past the largest k the cap admits, and an n no sweep could reach:
+    # its running total passes the cap at n = 14 and counts no further
+    refuse_without_work(monkeypatch)
+    work, k_max, n = {"11": (55211, 43, 11), "12": (55742, 26, 12), "1000000": (65274, 4, 14)}[got]
     code, out, err = run(capsys, "verify", *window)
     assert (code, out) == (3, "")
-    assert err == f"error: oracle window too wide: --n-max {got} is above the cap of 10\n"
-    assert limits.CAPS["oracle_n"][0] == 10
+    assert err == f"error: {refusal(got, k_max, work, n)}\n"
 
 
-def test_oracle_check_count_is_what_the_sweep_runs():
+def character_values(n_max):
+    """What the oracle's work counts beside its checks, counted here from the
+    class tables: for each group and label size m <= n_max, the labels times
+    the classes, the even ones for A."""
+    from centdim.oracle import conjugacy_classes
+
+    return sum(
+        len(labels) * len(conjugacy_classes(m, group == "A"))
+        for m in range(1, n_max + 1)
+        for group, labels in (("S", partitions_of(m)), ("A", alt_labels(m)))
+    )
+
+
+def test_oracle_check_count_is_what_the_sweep_runs(monkeypatch):
+    # the work counted before the sweep is the checks each suite then reports
+    # plus the character values: a cap equal to it admits the window, and a
+    # cap one below it refuses the window at its last n
     from centdim import verify
 
-    for n_max, k_max in ((2, 0), (3, 2), (6, 4)):
-        counted = sum(
-            int(detail.split()[0]) for _, _, detail in verify.run_oracle(n_max, k_max)
-        )
-        assert verify.oracle_checks(n_max, k_max) == counted, (n_max, k_max)
-    windows = ((6, 4), (10, 10), (6, 2000), (2, 20000), (2, 5000), (10, 40))
-    assert [verify.oracle_checks(*w) for w in windows] == [
-        736, 8044, 320096, 200006, 50006, 30844,
+    assert [character_values(n) for n in (2, 3, 6, 10, 13, 14)] == [
+        7, 22, 291, 4720, 29465, 52658,
     ]
+    for n_max, k_max in ((2, 0), (3, 2), (6, 4)):
+        monkeypatch.undo()
+        results = verify.run_oracle(n_max, k_max)
+        checks = sum(int(detail.split()[0]) for _, _, detail in results)
+        work = checks + character_values(n_max)
+        monkeypatch.setitem(limits.CAPS, "oracle_work", (work, "checks and character values"))
+        assert verify.run_oracle(n_max, k_max) == results
+        monkeypatch.setitem(limits.CAPS, "oracle_work", (work - 1, "checks and character values"))
+        with pytest.raises(ValueError) as info:
+            verify.run_oracle(n_max, k_max)
+        assert str(info.value) == refusal(n_max, k_max, work, n_max, work - 1)
+    assert checks == 736
 
 
 @pytest.mark.parametrize(
     "window, checks",
     [
         (["--scope", "oracle", "--n-max", "2", "--k-max", "20000"], 200006),
-        (["--scope", "all", "--n-max", "6", "--k-max", "2000"], 320096),
-        (["--n-max", "2", "--k-max", "5000"], 50006),
+        (["--scope", "all", "--n-max", "3", "--k-max", "2000"], 56018),
+        (["--scope", "oracle", "--n-max", "14", "--k-max", "1"], 4342),
         (["--n-max", "2", "--k-max", str(10**30)], 10 * 10**30 + 6),
     ],
 )
 def test_verify_refuses_a_window_above_the_check_cap(capsys, monkeypatch, window, checks):
     # --n-max 2 --k-max 20000 used to run every level up to 10,000 first
-    from centdim import verify
-
-    def unreachable(*args):
-        raise AssertionError("verify did work before refusing its window")
-
-    for name in ("build_diagram", "block_dimension", "multiplicity_oracle"):
-        monkeypatch.setattr(verify, name, unreachable)
+    refuse_without_work(monkeypatch)
     n_max, k_max = window[-3], window[-1]
+    work = checks + character_values(int(n_max))
     code, out, err = run(capsys, "verify", *window)
     assert (code, out) == (3, "")
-    assert err == (
-        f"error: oracle window too large: --n-max {n_max} --k-max {k_max} holds "
-        f"{checks} checks, above the cap of 50000\n"
-    )
-    assert limits.CAPS["oracle_checks"][0] == 50_000
+    assert err == f"error: {refusal(n_max, k_max, work, n_max)}\n"
+
+
+@pytest.mark.parametrize(
+    "window, summary",
+    [
+        (["--n-max", "2", "--k-max", "5000"], "10 suites"),
+        (["--scope", "oracle", "--n-max", "11"], "4 suites"),
+        (["--scope", "all", "--n-max", "12", "--k-max", "0"], "10 suites"),
+    ],
+)
+def test_verify_runs_windows_the_oracle_used_to_refuse(capsys, window, summary):
+    # refused by the old caps of 50,000 checks and n <= 10
+    code, out, err = run(capsys, "verify", *window)
+    assert (code, out.splitlines()[-1], err) == (0, f"summary: {summary}, 0 failures", "")
 
 
 def test_verify_runs_a_window_at_the_check_cap(capsys, monkeypatch):
-    from centdim import verify
-
-    monkeypatch.setitem(limits.CAPS, "oracle_checks", (736, "checks"))
+    # the default window: 736 checks and 291 character values
+    monkeypatch.setitem(limits.CAPS, "oracle_work", (1027, "checks and character values"))
     code, out, _ = run(capsys, "verify", "--scope", "oracle")
     assert (code, out.splitlines()[-1]) == (0, "summary: 4 suites, 0 failures")
-    monkeypatch.setitem(limits.CAPS, "oracle_checks", (735, "checks"))
+    monkeypatch.setitem(limits.CAPS, "oracle_work", (1026, "checks and character values"))
     code, out, err = run(capsys, "verify", "--scope", "oracle")
     assert (code, out) == (3, "")
-    assert "holds 736 checks, above the cap of 735" in err
+    assert "needs 1027 checks and character values up to n = 6, above the cap of 1026" in err
     # the golden scope ignores the window
     code, _, _ = run(capsys, "verify", "--scope", "golden", "--k-max", "20000")
     assert code == 0
@@ -900,7 +939,7 @@ def command_argv(draw):
         return draw(bijection_argv())
     if command == "verify":
         return ["verify", "--scope", draw(st.sampled_from(["all", "golden", "oracle"])),
-                "--n-max", str(draw(st.integers(-1, 11))),
+                "--n-max", str(draw(st.sampled_from([*range(-1, 12), 15]))),
                 "--k-max", str(draw(st.integers(-1, 3)))]
     group = draw(st.sampled_from("SA"))
     module = draw(st.sampled_from(["perm", "refl"]))

@@ -7,7 +7,7 @@ from itertools import permutations
 import pytest
 from seed_reference import ScaleExceeded, pair_count_oracle
 
-from centdim import oracle
+from centdim import oracle, verify
 from centdim.branch import AltLabel, alt_labels
 from centdim.dims import GroupModuleContext, block_dimension, labels_for
 from centdim.oracle import character_mn, conjugacy_classes, multiplicity_oracle
@@ -28,8 +28,9 @@ def test_conjugacy_class_tables():
     }
     with pytest.raises(ValueError):
         conjugacy_classes(0)
+    assert len(conjugacy_classes(11)) == 56
     with pytest.raises(ValueError):
-        conjugacy_classes(11)
+        conjugacy_classes(42)
 
 
 def cycle_type(perm):
@@ -112,6 +113,27 @@ def test_conjugacy_classes_refuse_a_non_integer_n(n):
     with pytest.raises(ValueError) as info:
         conjugacy_classes(n)
     assert str(info.value) == f"conjugacy_classes: need an integer n >= 1, got {n}"
+
+
+def test_conjugacy_classes_count_their_classes_before_building_any():
+    # p(42) = 53,174 passes the label cap; a huge n stops counting there
+    for n in (42, 10**9):
+        with pytest.raises(ValueError) as info:
+            conjugacy_classes(n)
+        assert str(info.value) == (
+            f"conjugacy_classes: n = {n} has at least 53174 classes, above the cap of 50000"
+        )
+
+
+def test_kernel_matches_the_oracle_on_every_label_up_to_n_13():
+    # past the old cap of n <= 10; k <= 2 keeps the sweep under a second
+    results = verify.run_oracle(13, 2)
+    assert [(name, ok) for name, ok, _ in results] == [
+        (f"oracle {group} {module}", True) for group in "SA" for module in ("perm", "refl")
+    ]
+    assert [detail for _, _, detail in results] == [
+        "1655 checks", "1655 checks", "962 checks", "962 checks",
+    ]
 
 
 def test_character_small_table():

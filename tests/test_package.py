@@ -1,4 +1,5 @@
-"""The package surface and what each command loads.
+"""The package surface, what each command loads, and what its entry points
+refuse.
 
 Importing centdim loads none of its modules; a public name imports its
 module on first use, and each CLI subcommand imports only the modules it
@@ -236,3 +237,34 @@ def test_only_the_json_export_loads_json(argv, loads_json):
     assert code == 0 and out
     assert "centdim.bratteli" in modules
     assert ("json" in modules) == loads_json
+
+
+def _refused_inputs():
+    from centdim import bratteli, branch, dims, verify
+
+    return [
+        (verify.run_oracle, (2.5, 1)),
+        (verify.run_oracle, (3, 1.5)),
+        (verify.run_oracle, ("3", 1)),
+        (verify.run, ("oracle", 2.5, 1)),
+        (verify.run, ("all", 3, "1")),
+        (branch.restrict_alt, ((3,),)),
+        (branch.induce_sym, ((3,), 4.0)),
+        (branch.induce_sym, ((3,), "4")),
+        (branch.induce_alt, (branch.AltLabel((3,)), "4")),
+        (bratteli.build_diagram, ("S", "4", "perm", 1)),
+        (bratteli.build_diagram, ("S", None, "perm", 1)),
+        (bratteli.build_diagram, ("S", 4, "perm", None)),
+        (dims.GroupModuleContext, ("S", 3, "perm", None)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "call, args", _refused_inputs(), ids=[f"{f.__name__}{a!r}" for f, a in _refused_inputs()]
+)
+def test_window_label_tower_and_level_inputs_are_refused_with_value_error(call, args):
+    # each used to raise TypeError or AttributeError, or (induce_sym with a
+    # float n) to answer
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    assert "\n" not in str(info.value)

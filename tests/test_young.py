@@ -20,6 +20,7 @@ from centdim.young import (
     num_skew_syt,
     num_syt,
     parse_partition,
+    partition_count,
     partitions_of,
 )
 
@@ -312,3 +313,11 @@ def test_parse_and_format_partition():
 @given(partitions(max_size=12))
 def test_partition_text_roundtrip(lam):
     assert parse_partition(format_partition(lam)) == lam
+
+
+def test_partition_count_is_p_n_or_stops_past_its_bound():
+    for n in range(40):
+        assert partition_count(n, 10**9) == len(partitions_of(n)), n
+        counted = partition_count(n, 100)  # p(13) = 101 is the first above 100
+        assert counted == (len(partitions_of(n)) if n <= 13 else 101), n
+    assert partition_count(10**9, 50_000) == 53_174  # p(42), at once
