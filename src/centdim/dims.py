@@ -21,7 +21,8 @@ import re
 from fractions import Fraction
 from functools import cache
 
-# bell_restricted and kostka_hook_type are unused; the bench tracer binds them.
+# alt_labels, bell_restricted, kostka_hook_type and partitions_of are unused;
+# the bench tracer binds them.
 from .arith import bell_restricted, signed_stirling2, stirling2
 from .branch import _Frozen, _fold, alt_labels, check_label
 from .limits import check
@@ -332,12 +333,6 @@ def dim_model_block(k, r, p):
     if (r - p) % 2:
         raise ValueError(f"r - p must be even, got r={r}, p={p}")
     return involutions_with_fixed_points(r, p) * _stable_block(k, "perm", (r,) if r else ())
-
-
-def labels_for(ctx):
-    """All candidate labels at ctx's level, in display order."""
-    m = ctx.label_size
-    return list(partitions_of(m)) if ctx.group == "S" else alt_labels(m)
 
 
 def decompose(ctx):

@@ -8,7 +8,8 @@ for the reflection module), raised to the tensor exponent, so the whole
 inner product stays in integer arithmetic. It depends on the class only
 through its fixed points f, so the class sum is grouped once per label into
 sums a_f of |C| chi(C), and each level is one dot product of the a_f with
-the powers of the module values. The class tables are capped by their size.
+the powers of the module values. Each class table is built once per size
+and parity, and is capped by its size.
 """
 
 from collections import Counter
@@ -28,25 +29,26 @@ def _class_size(n, ct):
 
 
 def conjugacy_classes(n, even_only=False):
-    """Cycle types of S_n with class sizes, as (cycle_type, size) pairs.
+    """Cycle types of S_n with class sizes, a tuple of (cycle_type, size) pairs.
 
     even_only keeps only the classes landing in A_n (even permutations,
     meaning n minus the number of cycles is even). Sizes are always taken
     in S_n; splitting of A_n classes never matters here because the
     characters being integrated are restrictions from S_n. The p(n) cycle
-    types are counted against the label cap before any is built.
+    types are counted against the label cap before the memo is read.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"conjugacy_classes: need an integer n >= 1, got {n}")
     count = partition_count(n, CAPS["labels"][0])
     check("labels", count,
           f"conjugacy_classes: n = {n} has at least {count} classes, above the cap of")
-    out = []
-    for ct in partitions_of(n):
-        if even_only and (n - len(ct)) % 2:
-            continue
-        out.append((ct, _class_size(n, ct)))
-    return out
+    return _class_table(n, bool(even_only))
+
+
+@cache
+def _class_table(n, even_only):
+    return tuple((ct, _class_size(n, ct)) for ct in partitions_of(n)
+                 if not (even_only and (n - len(ct)) % 2))
 
 
 def _beta_set(lam):

@@ -11,12 +11,15 @@ Two kinds of evidence, kept deliberately redundant with the test suite:
 """
 
 from fractions import Fraction
+from itertools import product
 
 from .arith import check_integers
+from .branch import alt_labels
 from .bratteli import build_diagram, format_label
-from .dims import GROUPS, MODULES, GroupModuleContext, block_dimension, labels_for
+from .dims import GROUPS, MODULES, GroupModuleContext, block_dimension
 from .limits import check
 from .oracle import conjugacy_classes, multiplicity_oracle
+from .young import partitions_of
 
 # Every subscript of the six reference towers, one block each, as decompose
 # --format text prints a row: a "group:n module" head, then one line per
@@ -125,37 +128,35 @@ def run_oracle(n_max=6, k_max=4):
     refused, and so is one whose work passes the oracle_work cap: its checks
     plus the character values the oracle will hold (labels times classes,
     the even ones for A, per group and label size), summed n by n as the
-    label lists are built. Each check costs one oracle and one kernel call;
-    the largest window under the cap for each --n-max from 2 to 14, such as
-    --n-max 2 --k-max 5498, runs in 0.5 to 1.3 s on a 2-core machine.
+    label lists are built, one per group and label size, which every suite
+    then reads. Each check costs one oracle and one kernel call; the
+    largest window under the cap for each --n-max from 2 to 14, such as
+    --n-max 2 --k-max 5498, runs in 0.4 to 1.2 s on a 2-core machine.
     """
     check_integers("oracle window: need integers n_max and k_max", n_max, k_max)
     if n_max < 2 or k_max < 0:
         raise ValueError(
             f"empty oracle window: need n_max >= 2 and k_max >= 0, got {n_max} and {k_max}"
         )
-    suites = {(group, module): [] for group in GROUPS for module in MODULES}
-    checks, values = 0, {}  # values: the character values of each (group, label size)
+    labels = {}  # (group, label size): every label of that size, built once
+    work = 0
     for n in range(2, n_max + 1):
-        for (group, module), rows in suites.items():
-            labels = [  # at integer levels, then at half levels
-                labels_for(GroupModuleContext(group, n, module, Fraction(h, 2))) for h in (0, 1)
-            ]
-            rows.append(labels)
-            checks += (k_max + 1) * len(labels[0]) + k_max * len(labels[1])
-            for m, row in zip((n, n - 1), labels):
-                if (group, m) not in values:
-                    values[group, m] = len(row) * len(conjugacy_classes(m, group == "A"))
-        work = checks + sum(values.values())
+        for group in GROUPS:
+            for m in (n - 1, n):
+                if (group, m) not in labels:
+                    labels[group, m] = partitions_of(m) if group == "S" else alt_labels(m)
+                    work += len(labels[group, m]) * len(conjugacy_classes(m, group == "A"))
+            per_module = (k_max + 1) * len(labels[group, n]) + k_max * len(labels[group, n - 1])
+            work += len(MODULES) * per_module
         check("oracle_work", work, f"oracle window too large: --n-max {n_max} --k-max {k_max} "
               f"needs {work} checks and character values up to n = {n}, above the cap of")
     results = []
-    for (group, module), rows in suites.items():
+    for group, module in product(GROUPS, MODULES):
         checks, problems = 0, []
-        for n, labels in enumerate(rows, start=2):
+        for n in range(2, n_max + 1):
             for twice in range(0, 2 * k_max + 1):
                 ctx = GroupModuleContext(group, n, module, Fraction(twice, 2))
-                for label in labels[twice % 2]:
+                for label in labels[group, ctx.label_size]:
                     expected = block_dimension(ctx, label)
                     got = multiplicity_oracle(ctx, label)
                     checks += 1

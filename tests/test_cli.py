@@ -319,17 +319,53 @@ def test_verify_reports_levels_in_sweep_order(capsys, monkeypatch):
 
 
 def test_oracle_sweep_lists_each_row_of_labels_once(monkeypatch):
-    # one list at integer and one at half levels for each (group, module, n),
-    # built once: the work count made before the sweep reads the same lists
+    # one list per (group, label size), sizes 1 to n_max, built once: the
+    # work count made before the sweep and every suite read the same lists
     from centdim import verify
 
-    real = verify.labels_for
     calls = []
-    monkeypatch.setattr(verify, "labels_for", lambda ctx: calls.append(ctx) or real(ctx))
+    for name in ("partitions_of", "alt_labels"):
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda m, real=real: calls.append(m) or real(m))
     for k_max in (0, 1, 5):
         calls.clear()
         verify.run_oracle(4, k_max)
-        assert len(calls) == 2 * 2 * 3 * 2, k_max
+        assert len(calls) == 2 * 4, k_max
+
+
+SINGLE_BUILD_PROBE = """
+from centdim import oracle, verify
+counts = {"classes": 0, "lists": 0}
+class_size = oracle._class_size
+def counted_class_size(n, ct):
+    counts["classes"] += 1
+    return class_size(n, ct)
+def counted(real):
+    def build(m):
+        counts["lists"] += 1
+        return real(m)
+    return build
+oracle._class_size = counted_class_size
+verify.partitions_of = counted(verify.partitions_of)
+verify.alt_labels = counted(verify.alt_labels)
+assert all(passed for _, passed, _ in verify.run_oracle(8, 3))
+print(counts["classes"], counts["lists"], oracle._class_table.cache_info().currsize)
+oracle.conjugacy_classes(3)
+try:
+    oracle.conjugacy_classes(3.0)
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_oracle_sweep_builds_each_table_and_list_once_in_a_fresh_process():
+    # n <= 8 has 16 (n, parity) class tables holding 103 classes, and 16
+    # (group, size) label lists; a filled memo still refuses a float n
+    proc = run_python("-c", SINGLE_BUILD_PROBE)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        "103 16 16\nconjugacy_classes: need an integer n >= 1, got 3.0\n"
+    )
 
 
 @pytest.mark.parametrize(
